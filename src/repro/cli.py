@@ -56,9 +56,9 @@ def _run_flags_parent() -> argparse.ArgumentParser:
     """The shared flag surface of every run-executing subcommand.
 
     ``compare``, ``figures``, ``profile``, ``chaos``, ``dashboard`` and
-    ``regress`` all attach this parent, so ``--seed/--seeds/--jobs/
-    --shards/--workers`` carry the same spelling and help text
-    everywhere instead of drifting per-subcommand copies.  ``--seed`` defaults to
+    ``regress`` all attach this parent, so ``--seed/--seeds/--jobs``
+    carry the same spelling and help text everywhere instead of
+    drifting per-subcommand copies.  ``--seed`` defaults to
     ``argparse.SUPPRESS`` so a subcommand-position ``--seed`` overrides
     the top-level one without clobbering its default when absent.
     """
@@ -75,16 +75,6 @@ def _run_flags_parent() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="worker processes (1 = serial, the default); results are "
         "byte-identical for any value",
-    )
-    parent.add_argument(
-        "--shards", type=int, default=1,
-        help="community-partitioned shards per run (1 = classic engine); "
-        "the determinism gate makes output byte-identical for any value",
-    )
-    parent.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for shard-lane scale-out (1 = in-process); "
-        "byte-identical output for any value (see docs/scaling.md)",
     )
     return parent
 
@@ -129,10 +119,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         else SimulationConfig.default_scale(seed=args.seed)
     )
     seeds = _parse_seeds(args.seeds)
-    specs = sweep_specs(
-        ("pavod", "nettube", "socialtube"), config, seeds=seeds,
-        shards=args.shards, workers=args.workers,
-    )
+    specs = sweep_specs(("pavod", "nettube", "socialtube"), config, seeds=seeds)
     results = run_sweep(specs, jobs=args.jobs)
     if seeds and len(seeds) > 1:
         aggregates = aggregate_sweep(specs, results)
@@ -157,8 +144,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         ),
         seeds=seeds,
         jobs=args.jobs,
-        shards=args.shards,
-        workers=args.workers,
     )
     environments = ("peersim",) if args.quick else ("peersim", "planetlab")
     suite.warm(environments=environments)
@@ -241,18 +226,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         else SimulationConfig.smoke_scale(seed=seed)
     )
     spec = ExperimentSpec(
-        protocol=args.protocol, config=config, environment=args.environment,
-        shards=args.shards, workers=args.workers,
+        protocol=args.protocol, config=config, environment=args.environment
     )
     profiled = run_profiled(spec, jobs=args.jobs)
     path = os.path.join(args.outdir, trace_filename(spec))
     write_trace(path, profiled.jsonl)
     print(render_profile(profiled.summary))
-    # Pool/shard attribution rides next to the profile (never inside
-    # the byte-parity surface); jobs>1 runs lose the in-process result
-    # object, so the report is only available on the serial path.
-    if profiled.result is not None and profiled.result.shard_report is not None:
-        print("\n".join(profiled.result.shard_report.render_rows()))
     print(f"trace: {path} ({len(profiled.jsonl)} bytes)")
     return 0
 
@@ -276,8 +255,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         else SimulationConfig.smoke_scale(seed=seed)
     )
     spec = ExperimentSpec(
-        protocol=args.protocol, config=config, environment=args.environment,
-        shards=args.shards, workers=args.workers,
+        protocol=args.protocol, config=config, environment=args.environment
     )
     run = run_perf(spec, top_k=args.top)
     payload = perf_report_to_json_bytes(run.report)
@@ -314,10 +292,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         if name not in protocols:
             protocols.append(name)
     specs = [
-        ExperimentSpec(
-            protocol=name, config=config, environment=args.environment,
-            shards=args.shards, workers=args.workers,
-        )
+        ExperimentSpec(protocol=name, config=config, environment=args.environment)
         for name in protocols
     ]
     runs = collect_dashboard_runs(specs, window_s=args.window, jobs=args.jobs)
@@ -359,8 +334,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             seed=seed,
             scale=scale,
             jobs=args.jobs,
-            shards=args.shards,
-            workers=args.workers,
             protocols=(args.protocol,) if args.protocol else None,
         )
         payload = grid_to_json_bytes(cells, seed=seed, scale=scale)
@@ -387,8 +360,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     spec = ExperimentSpec(
-        protocol=args.protocol, config=config, environment=args.environment,
-        shards=args.shards, workers=args.workers,
+        protocol=args.protocol, config=config, environment=args.environment
     ).with_faults(plan)
     task = (spec, args.window)
     if args.jobs > 1:
@@ -423,8 +395,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         strict=args.strict,
         update=args.update,
         quick=args.quick,
-        shards=args.shards,
-        workers=args.workers,
     )
 
 
@@ -522,7 +492,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_profile.set_defaults(func=_cmd_profile)
 
     p_perf = sub.add_parser(
-        "perf", help="wall-clock perf report: throughput, hotspots, lanes",
+        "perf", help="wall-clock perf report: throughput, hotspots",
         parents=[run_flags],
     )
     p_perf.add_argument(

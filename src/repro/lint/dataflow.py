@@ -625,13 +625,12 @@ SHARD_SCOPE_PACKAGES = (
     "metrics",
     "net",
     "overlay",
-    "shard",
     "sim",
     "workload",
 )
 
 #: The PDES-critical layers that additionally need a module declaration.
-MODULE_DECL_PACKAGES = ("core", "net", "overlay", "shard", "sim")
+MODULE_DECL_PACKAGES = ("core", "net", "overlay", "sim")
 
 #: Method names that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset(

@@ -4,15 +4,9 @@
 Everything above the kernel -- the experiment runner, protocol stacks,
 the async overlay flood, the runtime invariant checker -- talks to the
 event engine through this structural interface rather than the concrete
-:class:`repro.sim.engine.EventScheduler`.  Two implementations exist:
-
-* :class:`repro.sim.engine.EventScheduler` -- the single-heap reference
-  kernel (``shards=1``);
-* :class:`repro.shard.scheduler.ShardedScheduler` -- the
-  community-partitioned coordinator that tags every event with an
-  owning shard, routes cross-shard sends through the typed inter-shard
-  mailbox, and advances in conservative lookahead windows
-  (``shards>1``).
+:class:`repro.sim.engine.EventScheduler`, the single-heap kernel and
+the protocol's one implementation.  Keeping the seam lets callers
+depend on the surface they use rather than on the concrete class.
 
 The protocol is deliberately the *exact* surface the call sites already
 used, so adopting it changed no behaviour: satisfying it is a fact
@@ -35,7 +29,7 @@ class Scheduler(Protocol):
     simultaneous events and must never consume randomness themselves
     (randomness lives in :mod:`repro.sim.rng` and is injected by
     callers).  ``tracer`` and ``events_processed`` are plain attributes
-    on both implementations; the protocol lists them for completeness
+    on the implementation; the protocol lists them for completeness
     but structural ``isinstance`` checks only see the methods.
     """
 

@@ -71,22 +71,6 @@ class TestCli:
         assert "Fig 17a" in out
         assert "Multi-seed aggregate" in out
 
-    def test_shards_flag_output_matches_unsharded(self, capsys):
-        main(["compare", "--quick"])
-        unsharded = capsys.readouterr().out
-        main(["compare", "--quick", "--shards", "4"])
-        sharded = capsys.readouterr().out
-        assert unsharded == sharded
-
-    def test_workers_flag_output_matches_plain(self, capsys):
-        # The worker count is byte-neutral by contract (docs/scaling.md);
-        # CI's worker-parity job enforces the same diff at full scale.
-        main(["compare", "--quick"])
-        plain = capsys.readouterr().out
-        main(["compare", "--quick", "--shards", "4", "--workers", "4"])
-        pooled = capsys.readouterr().out
-        assert plain == pooled
-
     def test_seed_accepted_after_subcommand(self, capsys):
         # The shared parent parses --seed in subcommand position without
         # clobbering the top-level default when absent.
@@ -98,15 +82,11 @@ class TestCli:
 
     def test_run_flags_shared_across_subcommands(self):
         # Every run-executing subcommand exposes the same flag spellings.
-        import argparse
-
         from repro.cli import _run_flags_parent
 
         parent = _run_flags_parent()
-        args = parent.parse_args(
-            ["--seeds", "1,2", "--jobs", "2", "--shards", "4", "--workers", "2"]
-        )
-        assert (args.seeds, args.jobs, args.shards, args.workers) == ("1,2", 2, 4, 2)
+        args = parent.parse_args(["--seeds", "1,2", "--jobs", "2"])
+        assert (args.seeds, args.jobs) == ("1,2", 2)
         assert not hasattr(args, "seed")  # SUPPRESS: absent unless given
         assert parent.parse_args(["--seed", "9"]).seed == 9
 

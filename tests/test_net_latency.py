@@ -1,5 +1,6 @@
 """Unit tests for the latency models."""
 
+import math
 import random
 
 import pytest
@@ -67,28 +68,21 @@ class TestPlanarLatencyModel:
         with pytest.raises(ValueError):
             PlanarLatencyModel(random.Random(1), base=-0.1)
 
-    def test_zero_floor_is_draw_identical(self):
-        # jitter_floor=0 is the exact legacy model: lognormal samples
-        # are strictly positive, so the clamp never fires and the draw
-        # sequence is untouched.
-        plain = PlanarLatencyModel(random.Random(7))
-        floored = PlanarLatencyModel(random.Random(7), jitter_floor=0.0)
-        assert [plain.sample(i, i + 1) for i in range(100)] == [
-            floored.sample(i, i + 1) for i in range(100)
-        ]
-        assert plain.min_one_way_s() == 0.0
-
-    def test_positive_floor_bounds_every_sample(self):
-        model = PlanarLatencyModel(random.Random(7), jitter_floor=0.25)
-        bound = model.min_one_way_s()
-        assert bound == pytest.approx(0.010 * 0.25)
-        assert all(model.sample(i, i + 1) >= bound for i in range(300))
-
-    def test_invalid_floor_rejected(self):
-        with pytest.raises(ValueError):
-            PlanarLatencyModel(random.Random(1), jitter_floor=1.5)
-        with pytest.raises(ValueError):
-            PlanarLatencyModel(random.Random(1), jitter_floor=-0.1)
+    def test_sample_is_propagation_times_lognormal_jitter(self):
+        # Pins the draw sequence: coordinates on first sight, then one
+        # lognormal multiplier per sample, nothing else.
+        model = PlanarLatencyModel(random.Random(7))
+        mirror = random.Random(7)
+        coords = {SERVER_NODE_ID: (0.5, 0.5)}
+        for i in range(100):
+            for node in (i, i + 1):
+                if node not in coords:
+                    coords[node] = (mirror.random(), mirror.random())
+            (x1, y1), (x2, y2) = coords[i], coords[i + 1]
+            expected = (0.010 + math.hypot(x1 - x2, y1 - y2) * 0.080) * (
+                mirror.lognormvariate(0.0, 0.25)
+            )
+            assert model.sample(i, i + 1) == expected
 
 
 class TestWanLatencyModel:
@@ -128,17 +122,20 @@ class TestWanLatencyModel:
         with pytest.raises(ValueError):
             WanLatencyModel(random.Random(1), congestion_factor=0.5)
 
-    def test_zero_floor_is_draw_identical(self):
-        plain = WanLatencyModel(random.Random(9))
-        floored = WanLatencyModel(random.Random(9), jitter_floor=0.0)
-        assert [plain.sample(i, i + 500) for i in range(100)] == [
-            floored.sample(i, i + 500) for i in range(100)
-        ]
-        assert plain.min_one_way_s() == 0.0
-
-    def test_positive_floor_bounds_every_sample(self):
-        model = WanLatencyModel(random.Random(9), jitter_floor=0.25)
-        bound = model.min_one_way_s()
-        assert bound > 0
-        # Congestion only inflates, so the floor survives the tail.
-        assert all(model.sample(i, i + 500) >= bound for i in range(300))
+    def test_sample_is_site_latency_times_jitter_and_congestion(self):
+        # Pins the draw sequence: site on first sight, one lognormal
+        # multiplier, then one congestion coin per sample.
+        model = WanLatencyModel(random.Random(9))
+        mirror = random.Random(9)
+        sites = {SERVER_NODE_ID: 0}
+        matrix = WanLatencyModel.DEFAULT_SITE_LATENCY
+        for i in range(100):
+            for node in (i, i + 500):
+                if node not in sites:
+                    sites[node] = mirror.randrange(len(matrix))
+            expected = matrix[sites[i]][sites[i + 500]] * mirror.lognormvariate(
+                0.0, 0.45
+            )
+            if mirror.random() < 0.05:
+                expected *= 6.0
+            assert model.sample(i, i + 500) == expected

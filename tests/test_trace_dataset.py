@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.trace.dataset import DatasetError, TraceDataset
+from repro.trace.dataset import (
+    UNAFFILIATED,
+    DatasetError,
+    TraceDataset,
+    primary_interest,
+)
 from repro.trace.entities import Category, Channel, User, Video
 
 
@@ -67,6 +72,43 @@ class TestQueries:
     def test_summary_mentions_counts(self):
         text = _micro_dataset().summary()
         assert "2 users" in text and "2 channels" in text and "3 videos" in text
+
+
+class TestPrimaryInterest:
+    @staticmethod
+    def _dataset(subscribed_categories, interests=()):
+        """User 0 subscribes to one channel per listed category id."""
+        dataset = TraceDataset()
+        for category in range(3):
+            dataset.categories[category] = Category(category, f"c{category}")
+        user = User(0, interest_ids=set(interests))
+        for channel_id, category in enumerate(subscribed_categories):
+            dataset.channels[channel_id] = Channel(
+                channel_id, owner_user_id=0, category_id=category
+            )
+            user.subscribed_channel_ids.add(channel_id)
+        dataset.users[0] = user
+        return dataset
+
+    def test_majority_subscription_category_wins(self):
+        dataset = self._dataset([2, 0, 2], interests={0})
+        assert primary_interest(dataset, 0) == 2
+
+    def test_tie_goes_to_lowest_category_id(self):
+        assert primary_interest(self._dataset([2, 1]), 0) == 1
+
+    def test_falls_back_to_lowest_favorite_interest(self):
+        assert primary_interest(self._dataset([], interests={2, 1}), 0) == 1
+
+    def test_unaffiliated_without_any_signal(self):
+        assert primary_interest(self._dataset([]), 0) == UNAFFILIATED
+
+    def test_synthesized_users_get_a_real_category_or_unaffiliated(
+        self, tiny_dataset
+    ):
+        for user_id in tiny_dataset.users:
+            cluster = primary_interest(tiny_dataset, user_id)
+            assert cluster == UNAFFILIATED or cluster in tiny_dataset.categories
 
 
 class TestValidation:

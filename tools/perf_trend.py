@@ -53,11 +53,6 @@ HEADLINES: Dict[str, Tuple[str, str, bool]] = {
         "events/s",
         True,
     ),
-    "BENCH_shard.json": (
-        "throughput_events_per_s.shards_4",
-        "events/s",
-        True,
-    ),
     "BENCH_faults.json": (
         "timings_s.grid_smoke",
         "s",
