@@ -236,40 +236,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.experiments.spec import ExperimentSpec
-    from repro.obs.export import trace_filename, write_trace
-    from repro.obs.perf_report import (
-        perf_filename,
-        perf_report_to_json_bytes,
-        render_perf_report,
-        run_perf,
-    )
-
-    seed = _single_seed(args, "perf")
-    config = (
-        SimulationConfig.default_scale(seed=seed)
-        if args.full
-        else SimulationConfig.smoke_scale(seed=seed)
-    )
-    spec = ExperimentSpec(
-        protocol=args.protocol, config=config, environment=args.environment
-    )
-    run = run_perf(spec, top_k=args.top)
-    payload = perf_report_to_json_bytes(run.report)
-    path = write_trace(os.path.join(args.outdir, perf_filename(spec)), payload)
-    print(render_perf_report(run.report))
-    if args.trace_out:
-        trace_path = write_trace(
-            os.path.join(args.trace_out, trace_filename(spec)), run.jsonl
-        )
-        print(f"trace: {trace_path} ({len(run.jsonl)} bytes)")
-    print(f"perf report: {path} ({len(payload)} bytes)")
-    return 0
-
-
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     import os
 
@@ -490,34 +456,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--outdir", default="traces_out", help="directory for the JSONL trace"
     )
     p_profile.set_defaults(func=_cmd_profile)
-
-    p_perf = sub.add_parser(
-        "perf", help="wall-clock perf report: throughput, hotspots",
-        parents=[run_flags],
-    )
-    p_perf.add_argument(
-        "protocol", choices=("socialtube", "nettube", "pavod"),
-        help="protocol stack to measure",
-    )
-    p_perf.add_argument(
-        "--environment", default="peersim", help="named environment (see config)"
-    )
-    p_perf.add_argument(
-        "--full", action="store_true",
-        help="measure at the paper's full scale (default: smoke scale)",
-    )
-    p_perf.add_argument(
-        "--outdir", default="perf_out", help="directory for the JSON perf report"
-    )
-    p_perf.add_argument(
-        "--trace-out", default=None, metavar="DIR",
-        help="also write the run's canonical trace JSONL (byte-identical "
-        "to 'repro profile' output; the perf-smoke CI job diffs them)",
-    )
-    p_perf.add_argument(
-        "--top", type=int, default=10, help="hotspot table size (default 10)"
-    )
-    p_perf.set_defaults(func=_cmd_perf)
 
     p_dash = sub.add_parser(
         "dashboard", help="self-contained HTML time-series dashboard",

@@ -43,7 +43,6 @@ from repro.net.latency import SERVER_NODE_ID
 from repro.net.message import ChunkSource, LookupResult
 from repro.net.streaming import simulate_playback, simulate_resume
 from repro.net.server import CentralServer, ServerOverloadError
-from repro.obs.perf import NULL_PERF
 from repro.obs.tracer import NULL_TRACER
 from repro.overlay.maintenance import record_link_sample, record_repair_sweep
 from repro.sim.churn import ChurnModel, SessionPlan
@@ -126,7 +125,6 @@ class ExperimentRunner:
         dataset: Optional[TraceDataset] = None,
         environment: Optional[Environment] = None,
         tracer=None,
-        perf=None,
     ):
         if not isinstance(spec, ExperimentSpec):
             raise TypeError(
@@ -177,11 +175,6 @@ class ExperimentRunner:
 
         self.latency = self.environment.latency_factory(self._rng_latency)
         self.scheduler: Scheduler = EventScheduler()
-        # Wall-clock perf telemetry (repro.obs.perf).  NULL_PERF is
-        # falsy, so the engine's hooks reduce to one truthiness check
-        # when perf is off; an armed meter never touches canonical
-        # output -- its readings live only in the sidecar perf report.
-        self.perf = perf if perf is not None else NULL_PERF
         # One tracer flows through every substrate; it reads the
         # scheduler's virtual clock so traces are a pure function of the
         # spec (byte-identical across serial and parallel execution).
@@ -1041,12 +1034,7 @@ class ExperimentRunner:
             )
         self._schedule_infra_faults()
         self.metrics.fault_onset_t = self._fault_onset_time()
-        perf = self.perf
-        if perf:
-            perf.run_begin()
         self.scheduler.run()
-        if perf:
-            perf.run_end(self.scheduler.events_processed)
         # Server-side fault counters live on the server; fold them into
         # the collector so the summary (and the regress gate) sees them.
         self.metrics.tracker_lookup_failures = self.server.tracker_lookup_failures
@@ -1069,19 +1057,14 @@ def run_spec(
     dataset: Optional[TraceDataset] = None,
     environment: Optional[Environment] = None,
     tracer=None,
-    perf=None,
 ) -> ExperimentResult:
     """Execute one spec; the canonical single-run entry point.
 
     ``tracer`` (a :class:`repro.obs.tracer.Tracer`) records the run as
     a deterministic trace; the default NULL_TRACER keeps every hook a
     no-op.  See :mod:`repro.obs.export` for turning a traced run into
-    JSONL + a profile summary.  ``perf`` (a
-    :class:`repro.obs.perf.PerfMeter`) arms wall-clock telemetry; the
-    default NULL_PERF keeps the perf hooks inert, and an armed meter is
-    hash-neutral -- same rows, same trace bytes, same content hash (see
-    :mod:`repro.obs.perf_report`).
+    JSONL + a profile summary.
     """
     return ExperimentRunner(
-        spec, dataset=dataset, environment=environment, tracer=tracer, perf=perf
+        spec, dataset=dataset, environment=environment, tracer=tracer
     ).run()

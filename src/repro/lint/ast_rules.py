@@ -110,15 +110,11 @@ class WallClockRule(Rule):
     severity = "high"
     description = (
         "wall-clock access (time.time, datetime.now, ...); simulated time "
-        "comes only from EventScheduler.now, wall time only from "
-        "repro.obs.perf"
+        "comes only from EventScheduler.now, and wall time is read only "
+        "by the benchmark harnesses outside src/repro"
     )
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
-        if ctx.owns_wall_clock:
-            # repro.obs.perf is the one sanctioned wall-clock namespace
-            # (hash-neutral sidecar telemetry); see RuleContext.
-            return []
         findings: List[Finding] = []
         time_aliases: Set[str] = set()
         datetime_mod_aliases: Set[str] = set()

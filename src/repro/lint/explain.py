@@ -23,11 +23,9 @@ repeatability claim.  Route every draw through a named substream from
     "wall-clock": """\
 `time.time()`, `datetime.now()` and friends make results depend on the
 machine clock.  All simulated time comes from `EventScheduler.now`.
-The one sanctioned wall-clock namespace is `repro.obs.perf` -- the
-hash-neutral sidecar telemetry layer (mirroring how `sim/rng.py` owns
-the `random` module); every other module obtains wall time through a
-perf object, and benchmarks measure wall time through their own
-harness, outside src/repro.""",
+No module under src/repro is exempt: wall time is read only by the
+benchmark harnesses outside the package (`perfbench/` and
+`benchmarks/bench_*.py`), which time runs from the outside.""",
     "set-iteration": """\
 Iterating a set/frozenset (or passing one to `list`, `enumerate`,
 `rng.choice`...) observes hash order, which varies across processes and

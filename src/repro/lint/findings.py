@@ -80,9 +80,3 @@ class RuleContext:
     #: Dotted module name when known ("repro.sim.engine"); program-pass
     #: rules use it to attribute findings across modules.
     module_name: "str | None" = None
-    #: The one sanctioned home of wall-clock reads
-    #: (:mod:`repro.obs.perf`); exempts the wall-clock rule the same
-    #: way ``is_rng_module`` exempts :mod:`repro.sim.rng` from
-    #: global-random.  Everywhere else, ``time.perf_counter`` and
-    #: friends stay high-severity findings.
-    owns_wall_clock: bool = False

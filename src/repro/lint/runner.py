@@ -132,17 +132,6 @@ def _is_protocol_registry(path: str) -> bool:
     return normalized.endswith("experiments/registry.py")
 
 
-def _owns_wall_clock(path: str) -> bool:
-    """The sanctioned wall-clock namespace: ``repro.obs.perf`` only.
-
-    Everything else in the tree -- including ``obs/perf_report.py`` --
-    obtains wall time through a perf object, so the exemption stays as
-    narrow as the ``sim/rng.py`` RNG carve-out it mirrors.
-    """
-    normalized = path.replace(os.sep, "/")
-    return normalized.endswith("obs/perf.py")
-
-
 def _requires_public_docstrings(path: str) -> bool:
     """The API-surface files held to missing-public-docstring.
 
@@ -212,7 +201,6 @@ def _build_context(
         shard_package=shard_package,
         requires_module_shard_decl=shard_package in MODULE_DECL_PACKAGES,
         module_name=module_name,
-        owns_wall_clock=_owns_wall_clock(path),
     )
 
 

@@ -87,6 +87,21 @@ class TestWallClockRule:
     def test_simulated_clock_allowed(self):
         assert lint("def fire(sched):\n    return sched.now + 5.0\n") == []
 
+    def test_no_package_path_is_exempt(self):
+        # No module under src/repro is exempt, not even the obs/ paths
+        # a wall-clock meter would live in.
+        source = "import time\n\ndef now():\n    return time.perf_counter()\n"
+        for path in (
+            "src/repro/obs/perf.py",
+            "src/repro/obs/perf_report.py",
+            "src/repro/sim/engine.py",
+        ):
+            found = [
+                f for f in lint(source, path=path) if f.rule == "wall-clock"
+            ]
+            assert found, f"wall-clock must fire for {path}"
+            assert all(f.severity == "high" for f in found)
+
 
 class TestSetIterationRule:
     def test_for_over_set_call_flagged(self):

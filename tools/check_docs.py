@@ -34,10 +34,6 @@ Two checks, both offline:
   Same anti-drift idea as the lint reference: the event vocabulary is
   a code-owned constant, and the operator docs may not silently fall
   behind it.
-* **Perf report reference** -- ``docs/performance.md`` must mention
-  every top-level field of the sidecar perf report
-  (``repro.obs.perf_report.PERF_REPORT_FIELDS``) as a backticked
-  token, so the telemetry guide tracks the schema it documents.
 
 Exit code 0 when clean, 1 with one ``file:line: message`` row per
 problem otherwise.
@@ -297,23 +293,6 @@ def check_fault_event_reference(path: str) -> List[str]:
     return problems
 
 
-def check_perf_field_reference(path: str) -> List[str]:
-    """docs/performance.md mentions every perf-report field."""
-    from repro.obs.perf_report import PERF_REPORT_FIELDS
-
-    problems: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    for field in PERF_REPORT_FIELDS:
-        if f"`{field}`" not in text:
-            problems.append(
-                f"{path}:1: perf report field {field!r} "
-                "(repro.obs.perf_report.PERF_REPORT_FIELDS) is not "
-                "documented as a backticked token"
-            )
-    return problems
-
-
 def check_file(path: str) -> List[str]:
     """All problems for one markdown file."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -328,8 +307,6 @@ def check_file(path: str) -> List[str]:
         problems += check_lint_rule_reference(path)
     if os.path.basename(path) == "tracing.md" and in_docs:
         problems += check_fault_event_reference(path)
-    if os.path.basename(path) == "performance.md" and in_docs:
-        problems += check_perf_field_reference(path)
     return problems
 
 

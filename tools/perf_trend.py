@@ -48,11 +48,6 @@ BENCH_SCHEMA_VERSION = 1
 #: deltas are signed so a drop in a higher-is-better metric reads as
 #: negative.
 HEADLINES: Dict[str, Tuple[str, str, bool]] = {
-    "BENCH_engine.json": (
-        "throughput_events_per_s.nodes_1000",
-        "events/s",
-        True,
-    ),
     "BENCH_faults.json": (
         "timings_s.grid_smoke",
         "s",
