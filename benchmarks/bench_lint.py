@@ -81,7 +81,7 @@ def main() -> int:
         "note": (
             "full_analysis is the complete lint_paths pipeline CI runs: "
             "per-file AST + flow-sensitive rules over every module, the "
-            "whole-program pass (substream ownership, cross-module shard "
+            "whole-program pass (substream ownership, module-level state "
             "mutation, event-reachability), suppression matching, "
             "fingerprint assignment and the baseline split.  index_build "
             "isolates the parse + ProgramIndex construction that "

@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Channel-facilitated popularity-based prefetching (Section IV-B).
 
 While a node watches a fully downloaded video, it prefetches the first

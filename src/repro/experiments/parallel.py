@@ -87,8 +87,8 @@ def family_key(spec: ExperimentSpec) -> str:
 # them out of the public surface.  Workers deserialize each trace
 # snapshot at most once and then reuse it for every spec they execute.
 
-_WORKER_TRACE_BLOBS: Dict[str, bytes] = {}  # shard: shared-mutable
-_WORKER_DATASETS: Dict[str, object] = {}  # shard: shared-mutable
+_WORKER_TRACE_BLOBS: Dict[str, bytes] = {}
+_WORKER_DATASETS: Dict[str, object] = {}
 
 
 def _init_worker(trace_blobs: Dict[str, bytes]) -> None:
@@ -160,7 +160,7 @@ def run_sweep(
 # aggregation: means + 95% confidence intervals over seed-sweep siblings
 
 #: ExperimentMetrics fields that are not per-run float scalars.
-_NON_SCALAR_METRIC_FIELDS = frozenset(  # shard: shared-read
+_NON_SCALAR_METRIC_FIELDS = frozenset(
     ("protocol", "environment", "num_requests", "overhead_by_video_index")
 )
 

@@ -97,7 +97,7 @@ class ProtocolEntry:
     defaults_from_config: Callable[[SimulationConfig], Any]
 
 
-_REGISTRY: Dict[str, ProtocolEntry] = {}  # shard: shared-mutable
+_REGISTRY: Dict[str, ProtocolEntry] = {}
 
 
 def register_protocol(

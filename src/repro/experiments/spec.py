@@ -34,7 +34,7 @@ from repro.faults.plan import FaultPlan
 
 #: Bumped when the canonical serialization changes shape, so stale
 #: on-disk caches keyed by content_hash can never alias a new layout.
-_SPEC_SCHEMA_VERSION = 1  # shard: shared-read
+_SPEC_SCHEMA_VERSION = 1
 
 
 def canonical_json(value: Any) -> str:

@@ -32,7 +32,7 @@ class NullFaultInjector:
 
 
 #: Shared no-op injector (the fault-free fast path).
-NULL_INJECTOR = NullFaultInjector()  # shard: shared-read
+NULL_INJECTOR = NullFaultInjector()
 
 
 class FaultInjector:

@@ -74,19 +74,19 @@ class RetryPolicy:
 
 #: Field groups for the v2 fault families -- a family's fields travel
 #: together through :meth:`FaultPlan.to_dict` (omitted when disarmed).
-_COMMUNITY_CRASH_FIELDS: Tuple[str, ...] = (  # shard: shared-read
+_COMMUNITY_CRASH_FIELDS: Tuple[str, ...] = (
     "community_crash_at_s",
     "community_crash_fraction",
 )
-_TRACKER_OUTAGE_FIELDS: Tuple[str, ...] = (  # shard: shared-read
+_TRACKER_OUTAGE_FIELDS: Tuple[str, ...] = (
     "tracker_outage_at_s",
     "tracker_outage_duration_s",
 )
-_PARTITION_FIELDS: Tuple[str, ...] = (  # shard: shared-read
+_PARTITION_FIELDS: Tuple[str, ...] = (
     "partition_at_s",
     "partition_duration_s",
 )
-_FLASH_CROWD_FIELDS: Tuple[str, ...] = (  # shard: shared-read
+_FLASH_CROWD_FIELDS: Tuple[str, ...] = (
     "flash_crowd_at_s",
     "flash_crowd_duration_s",
     "flash_crowd_admission_limit",

@@ -1,4 +1,4 @@
-"""Determinism and shard-safety static analysis (plus runtime overlay
+"""Determinism and state-safety static analysis (plus runtime overlay
 invariants).
 
 Three analysis layers keep the reproduction's repeatability claim
@@ -11,11 +11,10 @@ honest:
   whole-program passes: a project-wide symbol table / import graph /
   approximate call graph feeding RNG substream discipline
   (``global-random``, ``rng-substream-aliasing``,
-  ``rng-foreign-substream``, ``rng-obs-hook-draw``...), shard-safety
-  checks against ``# shard:`` ownership annotations
-  (:mod:`repro.lint.annotations`), and determinism hazards v2
-  (``unsorted-accumulation``, ``unsorted-serialization``,
-  ``mutable-default-arg``).
+  ``rng-foreign-substream``, ``rng-obs-hook-draw``...), module-level
+  state safety (``class-mutable-default``, ``global-state-mutation``),
+  and determinism hazards v2 (``unsorted-accumulation``,
+  ``unsorted-serialization``, ``mutable-default-arg``).
 * :mod:`repro.lint.invariants` -- runtime checks of the two-level
   overlay's structural invariants (``N_l``/``N_h`` capacity bounds,
   link symmetry, no self-links, no dangling links to departed nodes),
@@ -32,7 +31,6 @@ any non-baselined finding survives per-line suppression;
 ``tests/test_lint_clean.py`` enforces the clean state in tier-1.
 """
 
-from repro.lint.annotations import SHARD_CLASSES, ShardIndex
 from repro.lint.ast_rules import (
     ALL_AST_RULES,
     RULE_DESCRIPTIONS,
@@ -76,8 +74,6 @@ from repro.lint.runner import (
 from repro.lint.suppressions import SuppressionIndex
 
 __all__ = [
-    "SHARD_CLASSES",
-    "ShardIndex",
     "ALL_AST_RULES",
     "RULE_DESCRIPTIONS",
     "RULE_SEVERITIES",

@@ -1,4 +1,4 @@
-"""Flow-sensitive and whole-program determinism/shard-safety rules.
+"""Flow-sensitive and whole-program determinism and state-safety rules.
 
 This is the v2 analyzer layer on top of PR 1's per-file rule runner.
 Three rule families live here (plus the two rules migrated off the
@@ -22,21 +22,15 @@ named :class:`repro.sim.rng.RngStreams` substream:
   block or a ``with ...span(...):`` body (or anywhere in ``repro.obs``)
   would make trace-enabled runs diverge from fault-free hashes.
 
-**Shard safety** -- static race detection against the ``# shard:``
-ownership taxonomy (see :mod:`repro.lint.annotations`):
+**Module-level state safety** -- state that outlives one run leaks
+into the next run in the same process (serial sweeps, ``--jobs`` pool
+workers):
 
-* ``shard-missing-annotation`` / ``shard-missing-module-decl`` /
-  ``bad-shard-annotation``: coverage of the annotation scheme itself.
-* ``shard-class-mutable-default``: a mutable class-level default is
-  shared by every instance across future shard boundaries.
-* ``shard-shared-read-mutated``: function-scope mutation of state
-  declared frozen.
-* ``shard-event-mutation`` (program): ``shared-mutable`` state touched
-  from code reachable from an ``EventScheduler`` callback -- the exact
-  worklist the PDES refactor must route through the inter-shard
-  mailbox.
-* ``shard-local-foreign-mutation`` (program): another module mutating
-  state declared shard-local.
+* ``class-mutable-default``: a class body binds a mutable value, one
+  object shared by every instance.
+* ``global-state-mutation`` (program): function-scope mutation of a
+  module-level global from event-handler code, from another module, or
+  by ``global`` rebinding of a name bound to a constant at import.
 
 **Determinism hazards v2**:
 
@@ -46,8 +40,7 @@ ownership taxonomy (see :mod:`repro.lint.annotations`):
   (float ``+=``, ``list.append``) leaks hash order into results.
 * ``unsorted-serialization``: ``json.dumps``/``json.dump`` without
   ``sort_keys=True`` outside the canonical encoders.
-* ``mutable-default-arg``: the classic shared-default defect; under
-  sharding the default would also be shared across shard contexts.
+* ``mutable-default-arg``: the classic shared-default defect.
 """
 
 from __future__ import annotations
@@ -267,8 +260,8 @@ class MutableDefaultArgRule(Rule):
     rule_id = "mutable-default-arg"
     severity = "high"
     description = (
-        "mutable default argument is shared across every call (and, "
-        "after sharding, across shard contexts); default to None"
+        "mutable default argument is shared across every call; "
+        "default to None"
     )
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
@@ -614,23 +607,8 @@ class RngObsHookDrawRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# shard safety (per-file parts)
+# module-level state safety (per-file parts)
 
-
-#: Packages whose module-level state must carry # shard: annotations.
-SHARD_SCOPE_PACKAGES = (
-    "core",
-    "experiments",
-    "faults",
-    "metrics",
-    "net",
-    "overlay",
-    "sim",
-    "workload",
-)
-
-#: The PDES-critical layers that additionally need a module declaration.
-MODULE_DECL_PACKAGES = ("core", "net", "overlay", "sim")
 
 #: Method names that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset(
@@ -716,170 +694,45 @@ def iter_mutations(
     return mutations
 
 
-class ShardAnnotationRule(Rule):
-    """Annotation coverage plus in-module shared-read protection.
-
-    Emits several finding ids (each documented in RULE_INFO); grouped in
-    one rule because they share the binding scan.
-    """
-
-    rule_id = "shard-missing-annotation"
-    severity = "medium"
+class ClassMutableDefaultRule(Rule):
+    rule_id = "class-mutable-default"
+    severity = "high"
     description = (
-        "module-level state in a shard-scope package (sim/overlay/net/"
-        "core/workload/experiments/faults/metrics) lacks a '# shard:' "
-        "ownership annotation (shard-local | shared-read | shared-mutable)"
+        "a class body binds a mutable value; the one object is shared by "
+        "every instance and carries state from run to run in one "
+        "process -- use an immutable value or initialize per instance"
     )
 
-    def _emit(
-        self,
-        ctx: RuleContext,
-        node: ast.AST,
-        rule_id: str,
-        message: str,
-        lineno: Optional[int] = None,
-    ) -> Finding:
-        severity, _desc = RULE_INFO[rule_id]
-        return Finding(
-            path=ctx.path,
-            line=lineno if lineno is not None else getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=rule_id,
-            message=message,
-            severity=severity,
-        )
-
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
-        # Tree runs only (module_name set): lint_source snippets are not
-        # held to the annotation scheme even at repro-like paths.
-        if (
-            ctx.shard_package is None
-            or ctx.module_name is None
-            or ctx.is_test_module
-        ):
+        if ctx.is_test_module:
             return []
-        from repro.lint.annotations import ShardIndex
-
-        shard = ShardIndex.from_source(ctx.source)
         findings: List[Finding] = []
-        for lineno in shard.malformed_lines:
-            findings.append(
-                self._emit(
-                    ctx,
-                    tree,
-                    "bad-shard-annotation",
-                    "'# shard:' names no valid ownership class; use "
-                    "shard-local, shared-read, shared-mutable, or "
-                    "module=<class>",
-                    lineno=lineno,
-                )
-            )
-        if (
-            ctx.requires_module_shard_decl
-            and not ctx.is_package_init
-            and shard.module_class is None
-        ):
-            findings.append(
-                self._emit(
-                    ctx,
-                    tree,
-                    "shard-missing-module-decl",
-                    "modules in sim/overlay/net/core must declare the "
-                    "ownership of their instance state with a "
-                    "'# shard: module=<class>' comment",
-                    lineno=1,
-                )
-            )
-        annotated: Dict[str, str] = {}
-        for node in tree.body:
-            self._check_binding(node, ctx, shard, findings, annotated, None)
-            if isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    self._check_binding(
-                        stmt, ctx, shard, findings, annotated, node.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(
+                    stmt.target, ast.Name
+                ):
+                    targets = [stmt.target]
+                else:
+                    continue
+                if value_kind(stmt.value) != "mutable":
+                    continue
+                for target in targets:
+                    findings.append(
+                        self.finding(
+                            ctx,
+                            stmt,
+                            f"class attribute '{node.name}.{target.id}' "
+                            "binds a mutable value shared by every "
+                            "instance; use an immutable value or "
+                            "initialize it per instance",
+                        )
                     )
-        # In-module protection of shared-read state.
-        frozen = {n for n, cls in annotated.items() if cls == "shared-read"}
-        for name, node, how, func_name in iter_mutations(tree, frozen):
-            findings.append(
-                self._emit(
-                    ctx,
-                    node,
-                    "shard-shared-read-mutated",
-                    f"'{name}' is declared '# shard: shared-read' but "
-                    f"'{func_name}' mutates it ({how}); shared-read state "
-                    "is frozen after import",
-                )
-            )
         return findings
-
-    def _check_binding(
-        self,
-        node: ast.stmt,
-        ctx: RuleContext,
-        shard: "ShardIndexLike",
-        findings: List[Finding],
-        annotated: Dict[str, str],
-        owner_class: Optional[str],
-    ) -> None:
-        if isinstance(node, ast.Assign):
-            targets = [t for t in node.targets if isinstance(t, ast.Name)]
-            value: Optional[ast.AST] = node.value
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            targets = [node.target]
-            value = node.value
-        else:
-            return
-        kind = value_kind(value)
-        classification = shard.classification(node.lineno)
-        for target in targets:
-            if target.id == "__all__" or kind == "type-alias":
-                continue
-            label = (
-                f"{owner_class}.{target.id}" if owner_class else target.id
-            )
-            if owner_class is not None:
-                if kind == "mutable":
-                    findings.append(
-                        self._emit(
-                            ctx,
-                            node,
-                            "shard-class-mutable-default",
-                            f"class attribute '{label}' binds a mutable "
-                            "default shared by every instance (and every "
-                            "future shard); use an immutable value or "
-                            "initialize per instance",
-                        )
-                    )
-                continue
-            if classification is None:
-                findings.append(
-                    self._emit(
-                        ctx,
-                        node,
-                        "shard-missing-annotation",
-                        f"module-level '{label}' has no '# shard:' "
-                        "ownership annotation (shard-local | shared-read "
-                        "| shared-mutable)",
-                    )
-                )
-            else:
-                annotated[target.id] = classification
-                if classification == "shared-read" and kind == "mutable":
-                    findings.append(
-                        self._emit(
-                            ctx,
-                            node,
-                            "shard-class-mutable-default",
-                            f"'{label}' is declared shared-read but binds "
-                            "a mutable value; freeze it (tuple/frozenset) "
-                            "or reclassify as shared-mutable",
-                        )
-                    )
-
-
-# typing alias for the duck-typed shard index parameter above
-ShardIndexLike = object
 
 
 # ---------------------------------------------------------------------------
@@ -899,15 +752,14 @@ class ProgramRule:
         module: ModuleInfo,
         lineno: int,
         col: int,
-        rule_id: str,
         message: str,
     ) -> Finding:
-        severity, _desc = RULE_INFO[rule_id]
+        severity, _desc = RULE_INFO[self.rule_id]
         return Finding(
             path=module.path,
             line=lineno,
             col=col,
-            rule=rule_id,
+            rule=self.rule_id,
             message=message,
             severity=severity,
         )
@@ -936,7 +788,6 @@ class RngSubstreamAliasRule(ProgramRule):
                         module,
                         site.lineno,
                         site.col,
-                        self.rule_id,
                         f"substream '{name}' is requested from "
                         f"{len(qualnames)} functions ({others}); aliasing "
                         "one generator across phases couples their draw "
@@ -970,7 +821,6 @@ class RngForeignSubstreamRule(ProgramRule):
                         module,
                         site.lineno,
                         site.col,
-                        self.rule_id,
                         "observability code must not own RNG substreams; "
                         f"'{site.name}' requested in {site.qualname}",
                     )
@@ -981,7 +831,6 @@ class RngForeignSubstreamRule(ProgramRule):
                         module,
                         site.lineno,
                         site.col,
-                        self.rule_id,
                         f"fault-injection substream '{site.name}' must use "
                         "the reserved 'faults.' prefix so fault-free runs "
                         "never share its sequence",
@@ -993,7 +842,6 @@ class RngForeignSubstreamRule(ProgramRule):
                         module,
                         site.lineno,
                         site.col,
-                        self.rule_id,
                         f"substream '{site.name}' uses the 'faults.' "
                         "namespace reserved for repro.faults; pick a "
                         "phase-owned name",
@@ -1002,114 +850,72 @@ class RngForeignSubstreamRule(ProgramRule):
         return findings
 
 
-def _shard_package_of(module_name: str, root_pkg: str) -> Optional[str]:
-    parts = module_name.split(".")
-    if len(parts) >= 2 and parts[0] == root_pkg:
-        if parts[1] in SHARD_SCOPE_PACKAGES:
-            return parts[1]
-    return None
+class GlobalStateMutationRule(ProgramRule):
+    """Function-scope mutation of module-level state that can leak
+    between runs sharing one process.
 
+    In-module mutation from setup code (a registry filled at import, a
+    pool worker's initializer) is the sanctioned pattern and stays
+    silent; the three hazards below are not.
+    """
 
-class ShardProgramRule(ProgramRule):
-    """Cross-module and event-handler-context shard-safety checks."""
-
-    rule_id = "shard-event-mutation"
+    rule_id = "global-state-mutation"
 
     def check_program(self, index: ProgramIndex) -> List[Finding]:
-        import os as _os
-
-        root_pkg = _os.path.basename(index.root)
-        # name -> (owning module, binding) for every annotated global in
-        # a shard-scope package.
-        owned: Dict[Tuple[str, str], GlobalBinding] = {}
-        for module_name in sorted(index.modules):
-            if _shard_package_of(module_name, root_pkg) is None:
-                continue
-            info = index.modules[module_name]
-            for name in sorted(info.module_globals):
-                binding = info.module_globals[name]
-                if binding.shard_class is not None:
-                    owned[(module_name, name)] = binding
         findings: List[Finding] = []
         for module_name in sorted(index.modules):
-            info = index.modules[module_name]
-            findings.extend(
-                self._check_module(index, info, owned, root_pkg)
-            )
+            findings.extend(self._check_module(index, index.modules[module_name]))
         return findings
 
     def _check_module(
-        self,
-        index: ProgramIndex,
-        info: ModuleInfo,
-        owned: Dict[Tuple[str, str], GlobalBinding],
-        root_pkg: str,
+        self, index: ProgramIndex, info: ModuleInfo
     ) -> List[Finding]:
-        findings: List[Finding] = []
-        # Local names in this module that refer to owned globals --
-        # its own, plus from-imports of another module's global.
-        local_names: Dict[str, Tuple[str, str]] = {}
-        for (owner, name) in owned:
-            if owner == info.name:
-                local_names[name] = (owner, name)
+        # Local name -> (defining module, global name): this module's own
+        # globals plus from-imports of another module's global.
+        local_names: Dict[str, Tuple[str, str]] = {
+            name: (info.name, name) for name in info.module_globals
+        }
         for bound, (source_mod, orig) in info.from_imports.items():
-            if (source_mod, orig) in owned:
+            source = index.modules.get(source_mod)
+            if source is not None and orig in source.module_globals:
                 local_names[bound] = (source_mod, orig)
         if not local_names:
-            return findings
-        qualname_by_line = self._function_lines(info)
+            return []
+        qualnames = self._function_qualnames(info)
+        findings: List[Finding] = []
         for name, node, how, func_name in iter_mutations(
             info.tree, set(local_names)
         ):
             owner, orig = local_names[name]
-            binding = owned[(owner, orig)]
-            lineno = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0)
-            qualname = qualname_by_line.get(func_name)
-            foreign = owner != info.name
-            if binding.shard_class == "shared-read" and foreign:
-                findings.append(
-                    self._finding(
-                        info,
-                        lineno,
-                        col,
-                        "shard-shared-read-mutated",
-                        f"'{owner}.{orig}' is shared-read but "
-                        f"'{info.name}:{func_name}' mutates it ({how})",
-                    )
+            binding: GlobalBinding = index.modules[owner].module_globals[orig]
+            qualname = qualnames.get(func_name, f"{info.name}:{func_name}")
+            if qualname in index.event_reachable:
+                why = (
+                    f"'{qualname}' is reachable from an EventScheduler "
+                    "callback, so the write happens during a run"
                 )
-            elif binding.shard_class == "shard-local" and foreign:
-                findings.append(
-                    self._finding(
-                        info,
-                        lineno,
-                        col,
-                        "shard-local-foreign-mutation",
-                        f"'{owner}.{orig}' is shard-local state but "
-                        f"'{info.name}:{func_name}' mutates it ({how}); "
-                        "cross-module mutation crosses a future shard "
-                        "boundary",
-                    )
+            elif owner != info.name:
+                why = f"'{qualname}' writes it from outside its defining module"
+            elif how == "rebinding" and binding.kind == "immutable":
+                why = (
+                    f"'{qualname}' rebinds it through 'global' although "
+                    "it is bound to a constant at import"
                 )
-            elif binding.shard_class == "shared-mutable":
-                if qualname is not None and qualname in index.event_reachable:
-                    findings.append(
-                        self._finding(
-                            info,
-                            lineno,
-                            col,
-                            "shard-event-mutation",
-                            f"'{owner}.{orig}' is shared-mutable and "
-                            f"'{qualname}' (reachable from an "
-                            "EventScheduler callback) mutates it "
-                            f"({how}); route the write through the "
-                            "scheduler or the inter-shard mailbox",
-                        )
-                    )
+            else:
+                continue
+            findings.append(
+                self._finding(
+                    info,
+                    getattr(node, "lineno", 1),
+                    getattr(node, "col_offset", 0),
+                    f"module-level '{owner}.{orig}' is mutated ({how}): "
+                    f"{why}; keep per-run state on a per-run object",
+                )
+            )
         return findings
 
     @staticmethod
-    def _function_lines(info: ModuleInfo) -> Dict[str, str]:
+    def _function_qualnames(info: ModuleInfo) -> Dict[str, str]:
         """function simple name -> qualname (best effort, last wins)."""
         table: Dict[str, str] = {}
         for fname in sorted(info.functions):
@@ -1135,18 +941,18 @@ FLOW_RULES: Tuple[Rule, ...] = (
     UnsortedSerializationRule(),
     RngUnownedGeneratorRule(),
     RngObsHookDrawRule(),
-    ShardAnnotationRule(),
+    ClassMutableDefaultRule(),
 )
 
 #: Whole-program rules (need the ProgramIndex).
 PROGRAM_RULES: Tuple[ProgramRule, ...] = (
     RngSubstreamAliasRule(),
     RngForeignSubstreamRule(),
-    ShardProgramRule(),
+    GlobalStateMutationRule(),
 )
 
-#: rule id -> (severity, description) for every id this module can emit,
-#: including multi-id rules.  The runner folds this into the global
+#: rule id -> (severity, description) for every id this module can emit.
+#: The runner folds this into the global
 #: registry for --list-rules / --explain.
 RULE_INFO: Dict[str, Tuple[str, str]] = {
     "global-random": ("high", GlobalRandomRule.description),
@@ -1167,38 +973,12 @@ RULE_INFO: Dict[str, Tuple[str, str]] = {
         "substream namespace violation: 'faults.*' is reserved for "
         "repro.faults and observability code must not own substreams",
     ),
-    "shard-missing-annotation": (
-        "medium",
-        ShardAnnotationRule.description,
-    ),
-    "shard-missing-module-decl": (
-        "medium",
-        "modules in sim/overlay/net/core must declare instance-state "
-        "ownership with a '# shard: module=<class>' comment",
-    ),
-    "bad-shard-annotation": (
-        "low",
-        "'# shard:' comment names no valid ownership class",
-    ),
-    "shard-class-mutable-default": (
+    "class-mutable-default": ("high", ClassMutableDefaultRule.description),
+    "global-state-mutation": (
         "high",
-        "a mutable class-level default (or a mutable value declared "
-        "shared-read) is shared across instances and future shards",
-    ),
-    "shard-shared-read-mutated": (
-        "high",
-        "function-scope mutation of state declared '# shard: shared-read'",
-    ),
-    "shard-event-mutation": (
-        "high",
-        "shared-mutable state mutated from code reachable from an "
-        "EventScheduler callback without going through the scheduler/"
-        "inter-shard mailbox",
-    ),
-    "shard-local-foreign-mutation": (
-        "high",
-        "shard-local state mutated from another module (crosses a "
-        "future shard boundary)",
+        "function-scope mutation of a module-level global from code "
+        "reachable from an EventScheduler callback, from another module, "
+        "or by 'global' rebinding of an import-time constant",
     ),
 }
 

@@ -49,9 +49,8 @@ time-series tables, reports, this linter's own JSON) must pass
 `sort_keys=True`.  Scratch files and tests are exempt.""",
     "mutable-default-arg": """\
 A mutable default (`def f(xs=[])`) is evaluated once and shared by
-every call -- state leaks across calls, and after the PDES sharding
-refactor, across shard contexts.  Default to `None` and construct the
-container inside the body.""",
+every call, so state leaks from one call into the next.  Default to
+`None` and construct the container inside the body.""",
     "rng-unowned-generator": """\
 `random.Random(seed)` constructed ad hoc bypasses the named-substream
 discipline of `RngStreams`: its draw sequence is invisible to the
@@ -74,48 +73,27 @@ A draw lexically inside an `if ...tracer:` block or a `with
 ...span(...):` body fires only when tracing is enabled, so traced and
 untraced runs diverge -- the obs layer's zero-perturbation guarantee
 breaks.  Hoist the draw above the hook and pass its result in.""",
-    "shard-missing-annotation": """\
-The community-partitioned PDES refactor needs every piece of module
-state classified before work can be sharded.  Module-level bindings in
-sim/overlay/net/core/workload/experiments/faults/metrics must carry a
-`# shard:` comment on the assignment line: `shard-local` (one run owns
-it), `shared-read` (frozen after import), or `shared-mutable`
-(cross-run caches; see shard-event-mutation).  Type aliases and
-`__all__` are exempt.""",
-    "shard-missing-module-decl": """\
-The four PDES-critical packages (sim, overlay, net, core) also declare
-the default ownership of their *instance* state with a module-level
-`# shard: module=<class>` comment, normally `module=shard-local`:
-objects these modules create live and die inside one run/shard.""",
-    "bad-shard-annotation": """\
-A `# shard:` marker that names no valid ownership class is probably a
-typo that silently opts state out of the analysis; valid forms are
-`shard-local`, `shared-read`, `shared-mutable`, and
-`module=<class>`.""",
-    "shard-class-mutable-default": """\
+    "class-mutable-default": """\
 A mutable class-level attribute (`class C: cache = {}`) is one object
-shared by every instance -- across runs in one process and across
-shards after the PDES refactor.  Use an immutable value
-(tuple/frozenset) or initialize per instance in `__init__`.  Also
-fires when a binding declared `shared-read` holds a mutable value:
-frozen-by-convention is not frozen.""",
-    "shard-shared-read-mutated": """\
-State declared `# shard: shared-read` is frozen after import; any
-function-scope mutation (rebinding via `global`, item store, `.append`
-and friends) is a defect no matter which module does it.  Either the
-mutation is a bug, or the state is really `shared-mutable` and must be
-re-classified and routed properly.""",
-    "shard-event-mutation": """\
-`shared-mutable` state (cross-run caches, registries) may be mutated
-only *outside* event-handler code.  This program-level rule walks the
-call graph from every callback passed to `EventScheduler.schedule(...)`
-and flags mutations reachable from one: after sharding, that write
-races other shards' event loops.  Route it through the scheduler (or
-the future inter-shard mailbox), or move it to setup/teardown code.""",
-    "shard-local-foreign-mutation": """\
-State declared `shard-local` is owned by one run/shard; a mutation
-from a *different module* is either a mis-classification or a genuine
-cross-shard write that the PDES refactor will turn into a race.""",
+shared by every instance.  Whatever one instance writes into it, every
+later instance sees -- including instances built by the next run in
+the same process (a serial sweep, or a `--jobs` pool worker reused for
+another spec).  Use an immutable value (tuple/frozenset) or initialize
+the container per instance in `__init__`.  Applies to every non-test
+module.""",
+    "global-state-mutation": """\
+Module-level state outlives the run that wrote it: serial sweeps and
+`--jobs` pool workers execute many runs in one process.  This
+program-level rule flags a function-scope mutation of a module-level
+global (item store, `.append()`-style call, deletion, `global`
+rebinding) when any one of these holds:
+(a) the mutating function is reachable from a callback passed to
+`EventScheduler.schedule(...)`, so the write happens during a run;
+(b) the mutation sits in a module other than the one defining the
+global; (c) it is a `global` rebinding of a name bound to a constant
+at import.  In-module mutation from setup code -- a registry filled at
+import, a pool worker's initializer -- stays silent.  Keep per-run
+state on a per-run object.""",
     "unused-import": """\
 Dead imports hide real dependencies, slow import time, and rot
 silently.  Names exported via `__all__` and quoted annotations count

@@ -4,9 +4,8 @@
 parses every module once, and assembles the project-wide facts the
 flow-sensitive rules in :mod:`repro.lint.dataflow` consume:
 
-* a **symbol table** per module -- module-level bindings (with their
-  ``# shard:`` ownership annotations), classes with their methods, and
-  top-level functions;
+* a **symbol table** per module -- module-level bindings, classes with
+  their methods, and top-level functions;
 * the **import graph** -- which in-tree modules each module imports,
   both ``import a.b`` aliases and ``from a.b import name`` bindings;
 * an approximate **call graph** keyed by function qualnames
@@ -15,8 +14,8 @@ flow-sensitive rules in :mod:`repro.lint.dataflow` consume:
   imported modules/names;
 * the **event-handler set**: every callable passed to an
   ``EventScheduler.schedule(...)``-shaped call, plus everything
-  reachable from one through the call graph -- the code that will run
-  inside a shard's event loop after the PDES refactor;
+  reachable from one through the call graph -- the code that runs
+  inside the simulation's event loop;
 * every **RNG substream site**: ``streams.stream("name")`` /
   ``streams.fork("name")`` calls with a literal name, attributed to
   their enclosing function.
@@ -32,8 +31,6 @@ import ast
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
-
-from repro.lint.annotations import ShardIndex
 
 #: Value shapes that can never be mutated through the binding.
 _IMMUTABLE_CALLS = frozenset(
@@ -110,15 +107,12 @@ def value_kind(node: Optional[ast.AST]) -> str:
 
 @dataclass
 class GlobalBinding:
-    """One module-level (or class-level) name binding."""
+    """One module-level name binding."""
 
     name: str
     lineno: int
     col: int
     kind: str  # value_kind() result
-    shard_class: Optional[str] = None
-    is_class_attr: bool = False
-    owner_class: Optional[str] = None
 
 
 @dataclass
@@ -149,17 +143,12 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class definition with its methods and attribute origins."""
+    """One class definition with its methods."""
 
     name: str
     qualname: str  # "module:Class"
     lineno: int
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: Class-level attribute bindings (shared across instances).
-    class_attrs: Dict[str, GlobalBinding] = field(default_factory=dict)
-    #: ``self.X = <origin>`` assignments: attr -> origin tag
-    #: ("rng-stream", "rng-fork", "raw-random", "opaque").
-    attr_origins: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -177,9 +166,6 @@ class ModuleInfo:
     module_globals: Dict[str, GlobalBinding] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    shard_index: ShardIndex = field(
-        default_factory=lambda: ShardIndex({}, None, [])
-    )
     stream_sites: List[StreamSite] = field(default_factory=list)
 
 
@@ -298,12 +284,6 @@ def _module_name(root: str, path: str) -> str:
 class _ModuleVisitor:
     """Single pass over one module tree filling a :class:`ModuleInfo`."""
 
-    #: Draw-producing value origins for ``self.X = ...`` assignments.
-    _ORIGIN_TAGS = {
-        "stream": "rng-stream",
-        "fork": "rng-fork",
-    }
-
     def __init__(self, info: ModuleInfo):
         self.info = info
 
@@ -334,7 +314,7 @@ class _ModuleVisitor:
                     alias.name,
                 )
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            self._record_binding(node, class_info=None)
+            self._record_binding(node)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = FunctionInfo(
                 qualname=f"{info.name}:{node.name}",
@@ -351,9 +331,7 @@ class _ModuleVisitor:
             )
             info.classes[node.name] = cls
             for stmt in node.body:
-                if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                    self._record_binding(stmt, class_info=cls)
-                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     method = FunctionInfo(
                         qualname=f"{info.name}:{node.name}.{stmt.name}",
                         name=stmt.name,
@@ -368,9 +346,7 @@ class _ModuleVisitor:
                 if isinstance(child, ast.stmt):
                     self._visit_top(child)
 
-    def _record_binding(
-        self, node: ast.stmt, class_info: Optional[ClassInfo]
-    ) -> None:
+    def _record_binding(self, node: ast.stmt) -> None:
         if isinstance(node, ast.Assign):
             targets = [t for t in node.targets if isinstance(t, ast.Name)]
             value: Optional[ast.AST] = node.value
@@ -382,19 +358,12 @@ class _ModuleVisitor:
         for target in targets:
             if target.id == "__all__":
                 continue
-            binding = GlobalBinding(
+            self.info.module_globals[target.id] = GlobalBinding(
                 name=target.id,
                 lineno=node.lineno,
                 col=node.col_offset,
                 kind=value_kind(value),
-                shard_class=self.info.shard_index.classification(node.lineno),
-                is_class_attr=class_info is not None,
-                owner_class=class_info.name if class_info else None,
             )
-            if class_info is not None:
-                class_info.class_attrs[target.id] = binding
-            else:
-                self.info.module_globals[target.id] = binding
 
     # -- function bodies --------------------------------------------------
 
@@ -404,37 +373,9 @@ class _ModuleVisitor:
         func: FunctionInfo,
         class_name: Optional[str],
     ) -> None:
-        info = self.info
         for child in ast.walk(node):
             if isinstance(child, ast.Call):
                 self._record_call(child, func, class_name)
-            if (
-                class_name is not None
-                and isinstance(child, ast.Assign)
-                and len(child.targets) == 1
-                and isinstance(child.targets[0], ast.Attribute)
-            ):
-                attr_node = child.targets[0]
-                if (
-                    isinstance(attr_node.value, ast.Name)
-                    and attr_node.value.id == "self"
-                ):
-                    origin = self._value_origin(child.value)
-                    cls = info.classes[class_name]
-                    cls.attr_origins.setdefault(attr_node.attr, origin)
-
-    def _value_origin(self, value: ast.AST) -> str:
-        if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
-            tag = self._ORIGIN_TAGS.get(value.func.attr)
-            if tag is not None:
-                return tag
-        if isinstance(value, ast.Call):
-            from repro.lint.base import dotted_name
-
-            dotted = dotted_name(value.func)
-            if dotted in ("random.Random", "Random"):
-                return "raw-random"
-        return "opaque"
 
     def _record_call(
         self, node: ast.Call, func: FunctionInfo, class_name: Optional[str]
@@ -528,7 +469,6 @@ def build_module(root: str, path: str, source: str) -> ModuleInfo:
         path=os.path.abspath(path),
         source=source,
         tree=tree,
-        shard_index=ShardIndex.from_source(source),
     )
     _ModuleVisitor(info).visit()
     return info

@@ -3,11 +3,10 @@
 Three passes run over a tree (in one parse per file):
 
 1. the single-pass AST rules (:mod:`repro.lint.ast_rules`);
-2. the flow-sensitive dataflow rules (:mod:`repro.lint.dataflow`),
-   including the shard-safety per-file checks;
+2. the flow-sensitive dataflow rules (:mod:`repro.lint.dataflow`);
 3. the whole-program rules over the :class:`repro.lint.program`
-   index -- substream aliasing, namespace ownership, event-reachable
-   mutation of shared state.
+   index -- substream aliasing, namespace ownership, mutation of
+   module-level state.
 
 Per-line ``# lint: disable=<rule>`` suppression applies uniformly,
 including to program-pass findings (matched back to their file's
@@ -38,12 +37,7 @@ from repro.lint.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.lint.dataflow import (
-    MODULE_DECL_PACKAGES,
-    SHARD_SCOPE_PACKAGES,
-    collect_flow_findings,
-    collect_program_findings,
-)
+from repro.lint.dataflow import collect_flow_findings, collect_program_findings
 from repro.lint.fingerprint import assign_fingerprints
 from repro.lint.findings import Finding, RuleContext
 from repro.lint.program import ProgramIndex, build_program
@@ -159,47 +153,20 @@ def _is_test_module(path: str) -> bool:
     )
 
 
-def _shard_package(path: str, root: Optional[str]) -> Optional[str]:
-    """The shard-scope package ``path`` belongs to, if any.
-
-    With a directory ``root`` the first path segment under it decides
-    (fixture trees in tests work this way); otherwise the segment after
-    a ``repro/`` component does (lint_source-style paths).
-    """
-    if root is not None:
-        rel = os.path.relpath(path, root)
-        if not rel.startswith(".."):
-            parts = rel.replace(os.sep, "/").split("/")
-            if len(parts) >= 2 and parts[0] in SHARD_SCOPE_PACKAGES:
-                return parts[0]
-            return None
-    parts = path.replace(os.sep, "/").split("/")
-    for i, segment in enumerate(parts[:-1]):
-        if segment == "repro" and i + 1 < len(parts) - 1:
-            if parts[i + 1] in SHARD_SCOPE_PACKAGES:
-                return parts[i + 1]
-    return None
-
-
 def _build_context(
     source: str,
     path: str,
     tree: ast.Module,
-    root: Optional[str],
     module_name: Optional[str],
 ) -> RuleContext:
-    shard_package = _shard_package(path, root)
     return RuleContext(
         path=path,
         source=source,
         is_rng_module=_is_rng_module(path),
-        is_package_init=os.path.basename(path) == "__init__.py",
         is_protocol_registry=_is_protocol_registry(path),
         is_test_module=_is_test_module(path),
         exported_names=_extract_exports(tree),
         requires_public_docstrings=_requires_public_docstrings(path),
-        shard_package=shard_package,
-        requires_module_shard_decl=shard_package in MODULE_DECL_PACKAGES,
         module_name=module_name,
     )
 
@@ -207,12 +174,11 @@ def _build_context(
 def _lint_module(
     source: str,
     path: str,
-    root: Optional[str] = None,
     module_name: Optional[str] = None,
 ) -> Tuple[List[Finding], int, SuppressionIndex]:
     """(surviving findings, suppressed count, suppression index)."""
     tree = ast.parse(source, filename=path)
-    ctx = _build_context(source, path, tree, root, module_name)
+    ctx = _build_context(source, path, tree, module_name)
     suppressions = SuppressionIndex.from_source(source)
     kept: List[Finding] = []
     suppressed = 0
@@ -321,7 +287,7 @@ def lint_paths(
                 module_name = info.name
         try:
             findings, suppressed, suppressions = _lint_module(
-                source, path=filepath, root=root, module_name=module_name
+                source, path=filepath, module_name=module_name
             )
         except SyntaxError as exc:
             all_findings.append(

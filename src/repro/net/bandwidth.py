@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Processor-sharing upload links.
 
 Every video source -- the central server and each peer -- owns one

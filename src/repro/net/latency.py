@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Pairwise latency models.
 
 One-way latencies drive two delays the paper measures:
@@ -23,7 +22,7 @@ from random import Random
 from typing import Dict, Sequence, Tuple
 
 #: Node id reserved for the central server in latency computations.
-SERVER_NODE_ID = -1  # shard: shared-read
+SERVER_NODE_ID = -1
 
 
 class LatencyModel(ABC):

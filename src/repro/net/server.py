@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """The central server.
 
 In every system the paper evaluates, a central server remains in the

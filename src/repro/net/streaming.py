@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Chunk-level streaming playback model.
 
 The evaluation's headline QoS metric is startup delay, but the paper's

@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Probe-traffic accounting: the cost side of maintenance overhead.
 
 Section IV-A: "each node periodically probes its neighbors" (every 10
@@ -23,13 +22,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 #: Section V: "Nodes probe their neighbors every 10 minutes".
-DEFAULT_PROBE_PERIOD_S = 600.0  # shard: shared-read
+DEFAULT_PROBE_PERIOD_S = 600.0
 
 #: Delay between a crash and the survivors' repair sweep (repro.faults).
 #: Bounded by the probe period -- a survivor's own cycle would notice
 #: the dead neighbor within DEFAULT_PROBE_PERIOD_S anyway; the default
 #: models the faster failure-triggered repair path.
-DEFAULT_REPAIR_WINDOW_S = 60.0  # shard: shared-read
+DEFAULT_REPAIR_WINDOW_S = 60.0
 
 
 def record_repair_sweep(tracer, node: int, links: int) -> None:

@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Churn: the session on/off process.
 
 Section V of the paper: *"Each node is assumed to watch ten videos in one

@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Event-driven simulation kernel.
 
 The engine is a classic calendar-queue simulator: a binary heap of

@@ -1,4 +1,3 @@
-# shard: module=shard-local -- protocol definitions only; no state
 """The ``Scheduler`` protocol: the engine seam of the simulator.
 
 Everything above the kernel -- the experiment runner, protocol stacks,

@@ -8,12 +8,14 @@ import sys
 
 import pytest
 
+from repro.lint.ast_rules import RULE_DESCRIPTIONS
 from repro.lint.baseline import (
     Baseline,
     discover_baseline_path,
     load_baseline,
     write_baseline,
 )
+from repro.lint.explain import explained_rule_ids
 from repro.lint.fingerprint import compute_fingerprint
 from repro.lint.runner import lint_paths, render_json
 from repro.cli import main
@@ -172,8 +174,9 @@ class TestCliBaselineFlow:
         assert code == 1
 
     def test_explain_known_and_unknown_rule(self, capsys):
-        assert main(["lint", "--explain", "shard-event-mutation"]) == 0
+        assert main(["lint", "--explain", "global-state-mutation"]) == 0
         out = capsys.readouterr().out
-        assert "shard-event-mutation" in out
+        assert "global-state-mutation" in out
         assert "[high]" in out
         assert main(["lint", "--explain", "no-such-rule"]) == 2
+        assert explained_rule_ids() == sorted(RULE_DESCRIPTIONS)

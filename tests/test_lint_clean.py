@@ -7,10 +7,7 @@ file:line:rule rows in the assertion message.  The checked-in baseline
 the gate here and the CI lint job agree on what "clean" means.
 """
 
-import os
-
 from repro.lint.baseline import discover_baseline_path, load_baseline
-from repro.lint.dataflow import MODULE_DECL_PACKAGES
 from repro.lint.runner import default_lint_root, lint_paths
 
 
@@ -55,21 +52,3 @@ def test_program_pass_ran_over_the_tree():
     assert stats["event_roots"] > 0, "no EventScheduler callbacks found"
     assert stats["event_reachable"] >= stats["event_roots"]
     assert stats["stream_sites"] > 5, "RngStreams substream sites not indexed"
-
-
-def test_pdes_packages_carry_module_shard_decls():
-    """Acceptance: every module in sim/, overlay/, net/, core/ declares
-    instance-state ownership with ``# shard: module=<class>``."""
-    root = default_lint_root()
-    missing = []
-    for package in MODULE_DECL_PACKAGES:
-        pkg_dir = os.path.join(root, package)
-        for dirpath, _dirnames, filenames in os.walk(pkg_dir):
-            for name in sorted(filenames):
-                if not name.endswith(".py") or name == "__init__.py":
-                    continue
-                path = os.path.join(dirpath, name)
-                with open(path, "r", encoding="utf-8") as handle:
-                    if "# shard: module=" not in handle.read():
-                        missing.append(path)
-    assert not missing, f"modules without a shard module declaration: {missing}"

@@ -1,5 +1,5 @@
 """Whole-program index tests: symbol table, import graph, call graph,
-event reachability, and cross-module shard rules on a fixture package."""
+event reachability, and the program-level rules on a fixture package."""
 
 import textwrap
 
@@ -26,7 +26,6 @@ def fixture_pkg(tmp_path):
         root,
         "sim/engine.py",
         '''\
-        # shard: module=shard-local
         """Fixture scheduler."""
 
 
@@ -43,12 +42,11 @@ def fixture_pkg(tmp_path):
         root,
         "overlay/proto.py",
         '''\
-        # shard: module=shard-local
         """Fixture protocol."""
 
         from pkg.sim.engine import EventScheduler
 
-        CACHE = {}  # shard: shared-mutable
+        CACHE = {}
 
 
         def helper(x):
@@ -83,9 +81,7 @@ class TestProgramIndex:
         }
         proto = index.modules["pkg.overlay.proto"]
         assert set(proto.functions) == {"helper", "handler", "run", "seed_streams"}
-        cache = proto.module_globals["CACHE"]
-        assert cache.shard_class == "shared-mutable"
-        assert cache.kind == "mutable"
+        assert proto.module_globals["CACHE"].kind == "mutable"
         engine = index.modules["pkg.sim.engine"]
         assert set(engine.classes) == {"EventScheduler"}
         assert set(engine.classes["EventScheduler"].methods) == {
@@ -131,16 +127,19 @@ class TestProgramIndex:
         assert "pkg.overlay.proto" in index.modules
 
 
-class TestShardProgramRules:
-    def test_event_reachable_mutation_of_shared_mutable_flagged(
-        self, fixture_pkg
-    ):
-        index = build_program(str(fixture_pkg))
-        findings = collect_program_findings(index)
-        rules = {f.rule for f in findings}
-        assert "shard-event-mutation" in rules
-        [finding] = [f for f in findings if f.rule == "shard-event-mutation"]
-        assert "CACHE" in finding.message
+def state_findings(root):
+    return [
+        f
+        for f in collect_program_findings(build_program(str(root)))
+        if f.rule == "global-state-mutation"
+    ]
+
+
+class TestGlobalStateMutation:
+    def test_event_reachable_mutation_flagged(self, fixture_pkg):
+        [finding] = state_findings(fixture_pkg)
+        assert "pkg.overlay.proto.CACHE" in finding.message
+        assert "EventScheduler callback" in finding.message
         assert finding.severity == "high"
 
     def test_mutation_outside_event_code_allowed(self, tmp_path):
@@ -151,35 +150,24 @@ class TestShardProgramRules:
             root,
             "sim/setup.py",
             """\
-            # shard: module=shard-local
-            CACHE = {}  # shard: shared-mutable
+            CACHE = {}
 
 
             def warm(key):
                 CACHE[key] = 1
             """,
         )
-        index = build_program(str(root))
-        rules = {f.rule for f in collect_program_findings(index)}
-        assert "shard-event-mutation" not in rules
+        assert state_findings(root) == []
 
-    def test_foreign_mutation_of_shard_local_flagged(self, tmp_path):
+    def test_foreign_module_mutation_flagged(self, tmp_path):
         root = tmp_path / "pkg"
         write(root, "__init__.py", "")
         write(root, "sim/__init__.py", "")
-        write(
-            root,
-            "sim/state.py",
-            """\
-            # shard: module=shard-local
-            TABLE = {}  # shard: shard-local
-            """,
-        )
+        write(root, "sim/state.py", "TABLE = {}\n")
         write(
             root,
             "sim/other.py",
             """\
-            # shard: module=shard-local
             from pkg.sim.state import TABLE
 
 
@@ -187,11 +175,32 @@ class TestShardProgramRules:
                 TABLE["x"] = 1
             """,
         )
-        index = build_program(str(root))
-        findings = collect_program_findings(index)
-        rules = {f.rule for f in findings}
-        assert "shard-local-foreign-mutation" in rules
+        [finding] = state_findings(root)
+        assert finding.path.endswith("other.py")
+        assert "pkg.sim.state.TABLE" in finding.message
+        assert "outside its defining module" in finding.message
 
+    def test_global_rebinding_of_constant_flagged(self, tmp_path):
+        root = tmp_path / "pkg"
+        write(root, "__init__.py", "")
+        write(
+            root,
+            "limits.py",
+            """\
+            LIMITS = (1, 2)
+
+
+            def bump():
+                global LIMITS
+                LIMITS = (2, 3)
+            """,
+        )
+        [finding] = state_findings(root)
+        assert "pkg.limits.LIMITS" in finding.message
+        assert "rebinding" in finding.message
+
+
+class TestRngProgramRules:
     def test_substream_aliasing_flagged(self, tmp_path):
         root = tmp_path / "pkg"
         write(root, "__init__.py", "")
@@ -292,7 +301,7 @@ class TestRunnerIntegration:
     def test_lint_paths_includes_program_findings(self, fixture_pkg):
         report = lint_paths([str(fixture_pkg)])
         rules = {f.rule for f in report.findings}
-        assert "shard-event-mutation" in rules
+        assert "global-state-mutation" in rules
         assert report.program_stats is not None
         assert report.program_stats["modules"] == 5
 
