@@ -90,7 +90,7 @@ class VodProtocol(ABC):
         #: ``now_fn``).  Defaults to the falsy NULL_TRACER so protocol
         #: code can guard hot paths with ``if self.tracer:``.
         self.tracer = NULL_TRACER
-        #: Network-partition reachability predicate, set by the runner
+        #: Network-partition reachability predicate, set by the fault recovery
         #: only *during* a partition window (None otherwise, so the
         #: fault-free hot path pays one identity check).  When set,
         #: ``partition_guard(a, b)`` is False for peers on opposite

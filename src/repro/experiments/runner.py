@@ -28,65 +28,34 @@ Delay model (documented in DESIGN.md section 5):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.baselines.protocol import PeerState
 from repro.experiments.config import Environment, environment_by_name
 from repro.experiments.registry import create_protocol
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
-from repro.faults.injector import FaultInjector, NULL_INJECTOR
+from repro.faults.injector import FaultInjector
+from repro.faults.recovery import FaultRecovery
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
 from repro.net.latency import SERVER_NODE_ID
-from repro.net.message import ChunkSource, LookupResult
-from repro.net.streaming import simulate_playback, simulate_resume
+from repro.net.message import ChunkSource
+from repro.net.streaming import simulate_playback
+
+# perfbench/layers.py wraps ``simulate_resume`` by its name in this
+# module, so the name stays importable here; the failover ladder in
+# repro.faults.recovery is its caller.
+from repro.net.streaming import simulate_resume  # lint: disable=unused-import
 from repro.net.server import CentralServer, ServerOverloadError
 from repro.obs.tracer import NULL_TRACER
-from repro.overlay.maintenance import record_link_sample, record_repair_sweep
 from repro.sim.churn import ChurnModel, SessionPlan
 from repro.sim.engine import EventScheduler
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Scheduler
-from repro.trace.dataset import TraceDataset, primary_interest
+from repro.trace.dataset import TraceDataset
 from repro.workload.selection import VideoSelector
 from repro.workload.session import SessionTracker
-
-
-@dataclass
-class _ActiveWatch:
-    """One in-flight watch, tracked only on fault-injected runs.
-
-    ``offset`` is the number of chunks already local when the *current*
-    transfer began (1 after a prefetch hit, ``chunks_done`` after a
-    failover resume), so the interruption handler can convert elapsed
-    transfer time into delivered chunks.  ``transfer_start_t`` is
-    approximated by the request instant -- chunk-granularity slack the
-    failover model absorbs.
-    """
-
-    video_id: int
-    provider_id: Optional[int]  # None for server- or cache-sourced watches
-    grant: object  # TransferGrant, or None on a cache hit
-    rate_bps: float  # effective (possibly fault-degraded) transfer rate
-    request_t: float
-    startup_s: float
-    chunks: int
-    offset: int
-    transfer_start_t: float
-    span_id: object
-    finish_event: object
-
-
-@dataclass
-class _FailoverState:
-    """One consumer between losing its provider and resuming."""
-
-    watch: _ActiveWatch
-    interrupted_at: float
-    chunks_done: int
-    attempt: int = 0
 
 
 @dataclass
@@ -117,7 +86,13 @@ class ExperimentRunner:
     (the shared trace cache, a worker's deserialized snapshot);
     ``environment`` overrides the spec's named environment with a
     custom :class:`Environment` instance (testbed emulations).
+
+    ``faults`` (the seeded :class:`FaultInjector`) and ``recovery`` (the
+    :class:`FaultRecovery` that :meth:`run` builds) are None unless the
+    spec carries a nonzero fault plan.
     """
+
+    recovery: Optional[FaultRecovery] = None
 
     def __init__(
         self,
@@ -151,23 +126,10 @@ class ExperimentRunner:
 
         # Fault injection (repro.faults).  The injector draws from its
         # own "faults.*" substreams, so a zero plan leaves every other
-        # stream's sequence untouched; NULL_INJECTOR is falsy, so every
-        # fault hook below reduces to one truthiness check when off.
+        # stream's sequence untouched; without one, every fault hook
+        # below reduces to one truthiness check.
         plan = spec.resolved_faults()
-        self.fault_plan = plan
-        self.faults = FaultInjector(plan, streams) if plan else NULL_INJECTOR
-        self._crash_events: Dict[int, object] = {}  # user -> pending crash
-        self._watches: Dict[int, _ActiveWatch] = {}
-        #: provider -> ordered set of consumers mid-transfer from it.
-        self._consumers: Dict[int, Dict[int, None]] = {}
-        self._failovers: Dict[int, _FailoverState] = {}
-        self._serve_ctx = None  # (provider_id, rate_bps) of the last serve
-        #: True only while retrying a request past the shed budget: the
-        #: server must admit it even under flash-crowd admission control.
-        self._serve_forced = False
-        #: node -> partition side, populated lazily while a network
-        #: partition is active (None otherwise).
-        self._partition_sides: Optional[Dict[int, int]] = None
+        self.faults = FaultInjector(plan, streams) if plan else None
 
         self.dataset = dataset or shared_trace_cache.dataset_for(config.trace)
         if config.num_nodes > self.dataset.num_users:
@@ -261,9 +223,10 @@ class ExperimentRunner:
 
     # -- request handling ---------------------------------------------------------
 
-    def _serve_request(self, user_id: int, video_id: int):
+    def _serve_request(self, user_id: int, video_id: int, force: bool):
         """Resolve one video request; returns (startup_delay_s, grant,
-        lookup, prefetch_hit, stall_s).
+        lookup, prefetch_hit, stall_s, rate_bps).  ``force`` makes the
+        server admit a fallback serve despite admission control.
 
         The span carries ``cluster`` -- the requested video's interest
         category, i.e. the paper's per-community unit -- so the
@@ -276,9 +239,9 @@ class ExperimentRunner:
             video=video_id,
             cluster=self.dataset.category_of_video(video_id),
         ):
-            return self._serve_request_inner(user_id, video_id)
+            return self._serve_request_inner(user_id, video_id, force)
 
-    def _serve_request_inner(self, user_id: int, video_id: int):
+    def _serve_request_inner(self, user_id: int, video_id: int, force: bool):
         cfg = self.config
         peer = self.protocol.state(user_id)
         lookup = self.protocol.locate(user_id, video_id)
@@ -294,9 +257,7 @@ class ExperimentRunner:
                     source="cache",
                     chunks=cfg.chunks_per_video,
                 )
-            if self.faults:
-                self._serve_ctx = (None, 0.0)
-            return cfg.local_playback_delay_s, None, lookup, False, 0.0
+            return cfg.local_playback_delay_s, None, lookup, False, 0.0, 0.0
 
         # Transient WAN failure: the chosen peer connection breaks and
         # the request falls back to the server.
@@ -312,37 +273,11 @@ class ExperimentRunner:
                     node=user_id,
                     provider=lookup.provider_id,
                 )
-            lookup = LookupResult(
-                video_id=video_id,
-                from_server=True,
-                hops=lookup.hops,
-                peers_contacted=lookup.peers_contacted,
-            )
+            lookup = lookup.server_fallback()
 
-        # Lost query messages (repro.faults): the reply from the chosen
-        # provider never arrives, so the requester re-floods after a
-        # backoff; past the retry budget the server serves the video.
-        retry_delay = 0.0
-        if self.faults and lookup.from_peer:
-            lost_retries = 0
-            while lookup.from_peer and self.faults.query_lost():
-                if self.tracer:
-                    self.tracer.event(
-                        "failover.query_lost", node=user_id, video=video_id
-                    )
-                if lost_retries >= self.faults.retry.max_retries:
-                    lookup = LookupResult(
-                        video_id=video_id,
-                        from_server=True,
-                        hops=lookup.hops,
-                        peers_contacted=lookup.peers_contacted,
-                    )
-                    break
-                retry_delay += self.faults.retry.backoff_delay(lost_retries)
-                lost_retries += 1
-                lookup = self.protocol.locate(user_id, video_id)
-            if lost_retries:
-                self.metrics.record_query_retry(user_id, lost_retries)
+        retry_delay = 0.0  # lost query replies re-flood after a backoff
+        if self.recovery and lookup.from_peer:
+            lookup, retry_delay = self.recovery.requery(user_id, video_id, lookup)
 
         prefetch_entry = peer.take_prefetch(video_id)
         if self.tracer:
@@ -358,14 +293,6 @@ class ExperimentRunner:
         if lookup.from_peer:
             provider = self.protocol.state(lookup.provider_id)
             grant = provider.uplink.admit(video_bits)
-            # A slow-peer episode degrades the granted share; with
-            # faults off the effective rate IS the granted rate, so the
-            # arithmetic below is bit-identical to the pre-fault path.
-            rate_bps = (
-                self.faults.peer_rate(grant.rate_bps)
-                if self.faults
-                else grant.rate_bps
-            )
             if lookup.query_path:
                 query_delay = self._path_delay(lookup.query_path)
             else:
@@ -374,17 +301,16 @@ class ExperimentRunner:
                 )
             chunk_source = ChunkSource.PEER
         else:
-            grant = self.server.serve(video_bits, force=self._serve_forced)
-            rate_bps = (
-                self.faults.server_rate(grant.rate_bps, self.scheduler.now)
-                if self.faults
-                else grant.rate_bps
-            )
+            grant = self.server.serve(video_bits, force=force)
             query_delay = self._failed_flood_delay(user_id, lookup.hops)
             query_delay += self._server_rtt(user_id)
             chunk_source = ChunkSource.SERVER
-        if retry_delay:
-            query_delay += retry_delay
+        query_delay += retry_delay
+        # Faults may degrade the granted share; without them the
+        # effective rate IS the granted rate.
+        rate_bps = (
+            self.recovery.rate(grant, lookup) if self.recovery else grant.rate_bps
+        )
 
         prefetch_hit = prefetch_entry is not None
         if prefetch_hit:
@@ -429,12 +355,7 @@ class ExperimentRunner:
         self.metrics.record_playback(
             user_id, playback.continuity_index, playback.total_stall_s
         )
-        if self.faults:
-            self._serve_ctx = (
-                lookup.provider_id if lookup.from_peer else None,
-                rate_bps,
-            )
-        return startup, grant, lookup, prefetch_hit, playback.total_stall_s
+        return startup, grant, lookup, prefetch_hit, playback.total_stall_s, rate_bps
 
     def _do_prefetch(self, user_id: int, video_id: int) -> None:
         """Prefetch first chunks while watching (Section IV-B)."""
@@ -472,46 +393,24 @@ class ExperimentRunner:
         self.sessions.begin_session(user_id)
         self.protocol.on_session_start(user_id)
         self.selector.start_session(user_id)
-        if self.faults:
-            delay = self.faults.crash_delay()
-            if delay is not None:
-                self._crash_events[user_id] = self.scheduler.schedule(
-                    delay, self._crash_node, user_id
-                )
+        if self.recovery:
+            self.recovery.session_started(user_id)
         self._request_next_video(user_id)
 
-    def _request_next_video(
-        self, user_id: int, video_id: Optional[int] = None, shed_attempts: int = 0
+    def _request_next_video(self, user_id: int) -> None:
+        self._request_video(user_id, self.selector.next_video(user_id), 0, False)
+
+    def _request_video(
+        self, user_id: int, video_id: int, shed_attempts: int, force: bool
     ) -> None:
-        if shed_attempts and not self.protocol.state(user_id).online:
-            return  # the requester crashed during its shed backoff
-        if video_id is None:
-            video_id = self.selector.next_video(user_id)
-        # Past the shed budget the client's retry is marked degraded:
-        # the server admits it regardless of admission control, so a
-        # flash crowd delays sessions but never strands one.
-        self._serve_forced = bool(
-            self.faults and shed_attempts > self.faults.retry.max_retries
-        )
+        """Serve one request and start its watch; ``shed_attempts`` counts
+        the flash-crowd sheds this request already backed off from."""
         try:
-            startup, grant, lookup, prefetch_hit, stall_s = self._serve_request(
-                user_id, video_id
-            )
+            served = self._serve_request(user_id, video_id, force)
         except ServerOverloadError:
-            # Admission control shed the request (flash crowd).  The
-            # client backs off under the shared RetryPolicy and retries
-            # the *same* video.
-            self.metrics.record_shed_retry(user_id)
-            self.scheduler.schedule(
-                self.faults.retry.backoff_delay(shed_attempts),
-                self._request_next_video,
-                user_id,
-                video_id,
-                shed_attempts + 1,
-            )
+            self.recovery.shed(user_id, video_id, shed_attempts)
             return
-        finally:
-            self._serve_forced = False
+        startup, grant, lookup, prefetch_hit, stall_s, rate_bps = served
         self.metrics.record_request(
             user_id=user_id,
             startup_delay_s=startup,
@@ -537,33 +436,26 @@ class ExperimentRunner:
             span_id = self.tracer.begin_detached(
                 "request.stream", node=user_id, video=video_id, source=source
             )
-        finish_event = self.scheduler.schedule(
-            watch_time, self._finish_video, user_id, video_id, grant, span_id
-        )
-        if self.faults:
-            provider_id, rate_bps = self._serve_ctx
-            watch = _ActiveWatch(
-                video_id=video_id,
-                provider_id=provider_id,
-                grant=grant,
-                rate_bps=rate_bps,
-                request_t=self.scheduler.now,
-                startup_s=startup,
-                chunks=self.config.chunks_per_video,
-                offset=1 if prefetch_hit else 0,
-                transfer_start_t=self.scheduler.now,
-                span_id=span_id,
-                finish_event=finish_event,
+        if self.recovery:
+            self.recovery.track_watch(
+                user_id,
+                video_id,
+                lookup,
+                grant,
+                rate_bps,
+                startup,
+                prefetch_hit,
+                watch_time,
+                span_id,
             )
-            self._watches[user_id] = watch
-            if provider_id is not None:
-                self._consumers.setdefault(provider_id, {})[user_id] = None
+        else:
+            self.scheduler.schedule(
+                watch_time, self._finish_video, user_id, video_id, grant, span_id
+            )
 
     def _finish_video(
         self, user_id: int, video_id: int, grant, span_id=None
     ) -> None:
-        if self.faults:
-            self._drop_watch(user_id)
         if grant is not None:
             grant.release()
         self.tracer.end(span_id)
@@ -572,457 +464,31 @@ class ExperimentRunner:
         video_index = self.sessions.record_video(user_id)
         links = self.protocol.link_count(user_id)
         self.metrics.record_overhead(user_id, video_index, links)
-        record_link_sample(self.tracer, user_id, links, video_index)
+        if self.tracer:  # the per-node link-count series behind Fig 18
+            self.tracer.event(
+                "overlay.links", node=user_id, links=links, index=video_index
+            )
         if self.sessions.session_finished(user_id):
             self._end_session(user_id)
         else:
             self._request_next_video(user_id)
 
     def _end_session(self, user_id: int) -> None:
-        if self.faults:
-            crash_event = self._crash_events.pop(user_id, None)
-            if crash_event is not None:
-                crash_event.cancel()  # the session ended before the crash
+        if self.recovery:
+            self.recovery.session_ended(user_id)
         if self.tracer:
             self.tracer.event("churn.leave", node=user_id)
         self.protocol.on_session_end(user_id)
+        self._close_session(user_id)
+
+    def _close_session(self, user_id: int) -> None:
+        """Count the session done (a graceful leave or a crash); the next
+        one, if any remain, starts after an off period."""
         self.sessions.end_session(user_id)
         if not self.sessions.all_sessions_done(user_id):
             self.scheduler.schedule(
                 self.churn.off_duration(), self._start_session, user_id
             )
-
-    # -- fault handling (repro.faults) ------------------------------------------------------
-
-    def _drop_watch(self, user_id: int) -> None:
-        """Forget a tracked watch (finished, interrupted, or crashed)."""
-        watch = self._watches.pop(user_id, None)
-        if watch is None or watch.provider_id is None:
-            return
-        consumers = self._consumers.get(watch.provider_id)
-        if consumers is not None:
-            consumers.pop(user_id, None)
-            if not consumers:
-                del self._consumers[watch.provider_id]
-
-    def _crash_node(self, user_id: int) -> None:
-        """Kill a node abruptly mid-session (crash-churn).
-
-        Unlike a graceful leave: the node's own watch dies on the spot,
-        every consumer streaming *from* it is interrupted into failover,
-        the protocol leaves the dead node's overlay links dangling, and
-        a repair sweep is scheduled one repair window out.  The crashed
-        session still counts against the session plan, so the run
-        terminates; the node returns after a normal off period.
-        """
-        self._crash_events.pop(user_id, None)
-        self.metrics.record_crash(user_id)
-        if self.tracer:
-            self.tracer.event("churn.crash", node=user_id)
-        watch = self._watches.get(user_id)
-        if watch is not None:
-            watch.finish_event.cancel()
-            if watch.grant is not None:
-                watch.grant.release()
-            self.tracer.end(watch.span_id)
-            self._drop_watch(user_id)
-        else:
-            state = self._failovers.pop(user_id, None)
-            if state is not None:
-                self.tracer.end(state.watch.span_id)
-        consumers = self._consumers.pop(user_id, None)
-        if consumers:
-            for consumer in list(consumers):
-                self._interrupt_transfer(consumer, provider_id=user_id)
-        self.protocol.on_crash(user_id)
-        self.scheduler.schedule(
-            self.fault_plan.repair_window_s, self._repair_after_crash, user_id
-        )
-        self.sessions.end_session(user_id)
-        if not self.sessions.all_sessions_done(user_id):
-            self.scheduler.schedule(
-                self.churn.off_duration(), self._start_session, user_id
-            )
-
-    def _repair_after_crash(self, user_id: int) -> None:
-        """The repair window elapsed; survivors heal their link tables."""
-        repaired = self.protocol.repair_after_crash(user_id)
-        if repaired:
-            self.metrics.note_recovery_action(self.scheduler.now)
-        record_repair_sweep(self.tracer, user_id, repaired)
-
-    def _interrupt_transfer(self, user_id: int, provider_id: int) -> None:
-        """``user_id``'s provider died mid-transfer; start failover.
-
-        Chunks delivered before the crash stay local (resume-from-last-
-        chunk); if the whole video already arrived, playback proceeds
-        untouched and only the bookkeeping is dropped.
-        """
-        watch = self._watches.get(user_id)
-        if watch is None or watch.provider_id != provider_id:
-            return
-        now = self.scheduler.now
-        chunk_bits = (
-            self.config.video_bits(self.dataset.video_length(watch.video_id))
-            / watch.chunks
-        )
-        delivered = int((now - watch.transfer_start_t) * watch.rate_bps / chunk_bits)
-        chunks_done = min(watch.chunks, watch.offset + delivered)
-        if chunks_done >= watch.chunks:
-            # The whole video already arrived: playback proceeds, so the
-            # watch stays tracked (its finish event must die if this
-            # consumer later crashes) -- only the provider link drops.
-            self._drop_watch(user_id)
-            watch.provider_id = None
-            self._watches[user_id] = watch
-            return
-        watch.finish_event.cancel()
-        if watch.grant is not None:
-            watch.grant.release()
-        self._drop_watch(user_id)
-        self.metrics.record_interruption(user_id)
-        if self.tracer:
-            self.tracer.event(
-                "failover.interrupted",
-                node=user_id,
-                video=watch.video_id,
-                provider=provider_id,
-                chunk=chunks_done,
-            )
-        state = _FailoverState(
-            watch=watch, interrupted_at=now, chunks_done=chunks_done
-        )
-        self._failovers[user_id] = state
-        self.scheduler.schedule(
-            self.faults.retry.detection_timeout_s,
-            self._attempt_failover,
-            user_id,
-            state,
-        )
-
-    def _remaining_bits(self, state: _FailoverState) -> float:
-        watch = state.watch
-        video_bits = self.config.video_bits(self.dataset.video_length(watch.video_id))
-        return video_bits * (watch.chunks - state.chunks_done) / watch.chunks
-
-    def _attempt_failover(self, user_id: int, state: _FailoverState) -> None:
-        """Re-search for a replacement provider (retry/timeout/backoff).
-
-        Each attempt re-floods the overlay; a found provider resumes the
-        transfer from the last delivered chunk, a miss (or a lost reply)
-        backs off exponentially, and past the retry budget the server
-        finishes the transfer -- a degraded serve, not a lost session.
-        """
-        if self._failovers.get(user_id) is not state:
-            return  # resolved already, or the consumer itself crashed
-        watch = state.watch
-        lookup = self.protocol.relocate(user_id, watch.video_id)
-        if lookup.from_peer and not self.faults.query_lost():
-            provider = self.protocol.state(lookup.provider_id)
-            grant = provider.uplink.admit(self._remaining_bits(state))
-            rate_bps = self.faults.peer_rate(grant.rate_bps)
-            self._resume_watch(
-                user_id, state, grant, rate_bps, lookup.provider_id, to_peer=True
-            )
-            return
-        if state.attempt < self.faults.retry.max_retries:
-            delay = self.faults.retry.backoff_delay(state.attempt)
-            state.attempt += 1
-            if self.tracer:
-                self.tracer.event(
-                    "failover.retry",
-                    node=user_id,
-                    video=watch.video_id,
-                    attempt=state.attempt,
-                )
-            self.scheduler.schedule(delay, self._attempt_failover, user_id, state)
-            return
-        # Failover fallback bypasses admission control (force=True): the
-        # consumer already absorbed an interruption plus the full retry
-        # ladder; shedding it again would strand the session.
-        grant = self.server.serve(self._remaining_bits(state), force=True)
-        rate_bps = self.faults.server_rate(grant.rate_bps, self.scheduler.now)
-        self._resume_watch(user_id, state, grant, rate_bps, None, to_peer=False)
-
-    def _resume_watch(
-        self,
-        user_id: int,
-        state: _FailoverState,
-        grant,
-        rate_bps: float,
-        provider_id: Optional[int],
-        to_peer: bool,
-    ) -> None:
-        """Restart the interrupted transfer from its new source.
-
-        The segmented playback model replays the viewer from the chunk
-        under the playhead at the interruption (pre-crash stalls are
-        chunk-granularity slack) and yields the wall-clock completion,
-        which reschedules the watch's finish event.
-        """
-        del self._failovers[user_id]
-        watch = state.watch
-        now = self.scheduler.now
-        latency = now - state.interrupted_at
-        video_length = self.dataset.video_length(watch.video_id)
-        playback_start = watch.request_t + watch.startup_s
-        position = min(
-            max(state.interrupted_at - playback_start, 0.0), video_length
-        )
-        resume = simulate_resume(
-            video_length_s=video_length,
-            bitrate_bps=self.config.video_bitrate_bps,
-            transfer_rate_bps=rate_bps,
-            chunks=watch.chunks,
-            chunks_done=state.chunks_done,
-            playback_position_s=position,
-            resume_gap_s=latency,
-            tracer=self.tracer,
-            node=user_id,
-            video=watch.video_id,
-        )
-        self.metrics.record_failover(
-            user_id, latency_s=latency, retries=state.attempt, to_peer=to_peer
-        )
-        self.metrics.note_recovery_action(now)
-        if self.tracer:
-            self.tracer.event(
-                "failover.resume" if to_peer else "failover.server",
-                node=user_id,
-                video=watch.video_id,
-                provider=provider_id,
-                latency_s=latency,
-                retries=state.attempt,
-                chunk=state.chunks_done,
-            )
-        watch.provider_id = provider_id
-        watch.grant = grant
-        watch.rate_bps = rate_bps
-        watch.transfer_start_t = now
-        watch.offset = state.chunks_done
-        # completion_s counts from the interruption; `latency` of it has
-        # already elapsed, and the remainder is strictly positive.  The
-        # finish event was cancelled at the interruption; one reschedule
-        # revives the same handle with the refreshed grant/span args.
-        watch.finish_event.reschedule(
-            resume.completion_s - latency,
-            user_id,
-            watch.video_id,
-            grant,
-            watch.span_id,
-        )
-        self._watches[user_id] = watch
-        if to_peer:
-            self._consumers.setdefault(provider_id, {})[user_id] = None
-
-    # -- infrastructure faults (repro.faults v2) -----------------------------------------
-
-    def _schedule_infra_faults(self) -> None:
-        """Arm the correlated/infrastructure fault families.
-
-        With no family armed this schedules nothing, so fault-free runs
-        are untouched.
-        """
-        if not self.faults:
-            return
-        plan = self.fault_plan
-        if self.faults.community_crash_armed:
-            self.scheduler.schedule(plan.community_crash_at_s, self._community_crash)
-        if self.faults.tracker_outage_armed:
-            self.scheduler.schedule(
-                plan.tracker_outage_at_s, self._tracker_outage_begin
-            )
-            self.scheduler.schedule(
-                plan.tracker_outage_at_s + plan.tracker_outage_duration_s,
-                self._tracker_outage_end,
-            )
-        if self.faults.partition_armed:
-            self.scheduler.schedule(plan.partition_at_s, self._partition_begin)
-            self.scheduler.schedule(
-                plan.partition_at_s + plan.partition_duration_s, self._partition_end
-            )
-        if self.faults.flash_crowd_armed:
-            self.scheduler.schedule(plan.flash_crowd_at_s, self._flash_crowd_begin)
-            self.scheduler.schedule(
-                plan.flash_crowd_at_s + plan.flash_crowd_duration_s,
-                self._flash_crowd_end,
-            )
-
-    def _fault_onset_time(self) -> float:
-        """Instant the first armed infrastructure fault strikes.
-
-        The degradation scorecard measures recovery *from this point*:
-        ``recovery_time_s`` is the gap between the first window opening
-        and the last recovery action (failover resume, repair sweep,
-        re-registration sweep, partition heal) -- total time until the
-        system is whole again.  Zero when no windowed family is armed,
-        which keeps pre-v2 plans reporting zero.
-        """
-        if not self.faults:
-            return 0.0
-        plan = self.fault_plan
-        onsets = []
-        if self.faults.community_crash_armed:
-            onsets.append(plan.community_crash_at_s)
-        if self.faults.tracker_outage_armed:
-            onsets.append(plan.tracker_outage_at_s)
-        if self.faults.partition_armed:
-            onsets.append(plan.partition_at_s)
-        if self.faults.flash_crowd_armed:
-            onsets.append(plan.flash_crowd_at_s)
-        return min(onsets) if onsets else 0.0
-
-    def _community_crash(self) -> None:
-        """Correlated burst: kill part of one interest community at once.
-
-        The injector draws the cluster from its own ``faults.community``
-        substream, restricted to communities of at least average size
-        (a correlated failure taking out a three-node fringe cluster
-        measures nothing); the burst then takes the highest-capacity
-        members first -- the worst case for the overlay, since those
-        nodes carry the most transfers and the densest link tables.
-        Victims already offline are skipped (a burst cannot kill a node
-        twice); each kill runs the ordinary crash path, so consumers
-        fail over and a repair sweep lands one repair window out.
-        """
-        by_cluster: Dict[int, list] = {}
-        for node in self._node_ids:
-            by_cluster.setdefault(primary_interest(self.dataset, node), []).append(
-                node
-            )
-        mean_size = len(self._node_ids) / len(by_cluster)
-        eligible = sorted(
-            c for c, nodes in by_cluster.items() if len(nodes) >= mean_size
-        )
-        if not eligible:
-            eligible = sorted(by_cluster)
-        cluster = self.faults.community_crash_cluster(eligible)
-        members = by_cluster[cluster]
-        count = math.ceil(
-            self.fault_plan.community_crash_fraction * len(members)
-        )
-        members.sort(
-            key=lambda node: (-self.protocol.state(node).uplink.capacity_bps, node)
-        )
-        killed = 0
-        for victim in members[:count]:
-            if not self.protocol.state(victim).online:
-                continue
-            pending = self._crash_events.pop(victim, None)
-            if pending is not None:
-                pending.cancel()  # the burst preempts the churn crash
-            self._crash_node(victim)
-            killed += 1
-        self.metrics.record_burst(killed)
-        if self.tracer:
-            self.tracer.event(
-                "fault.community_crash",
-                cluster=cluster,
-                planned=min(count, len(members)),
-                victims=killed,
-            )
-
-    def _tracker_outage_begin(self) -> None:
-        self.server.tracker_outage_begin()
-
-    def _tracker_outage_end(self) -> None:
-        """Tracker recovery: every online node re-files its state.
-
-        The outage wiped the tracker's soft state, so lookups between
-        recovery and a node's next report would miss it.  Deterministic
-        sweep in node-id order; each protocol re-registers exactly the
-        tracker state it maintains (presence, channel membership,
-        overlay memberships, current watches).
-        """
-        self.server.tracker_outage_end()
-        reports = 0
-        for node_id in self._node_ids:
-            reports += self.protocol.reannounce(node_id)
-        self.metrics.record_reregistrations(reports)
-        self.metrics.note_recovery_action(self.scheduler.now)
-        if self.tracer:
-            self.tracer.event("tracker.reregister", count=reports)
-
-    def _partition_side_of(self, node_id: int) -> int:
-        """Which half of the severed network a node sits in.
-
-        Sides follow interest communities (``primary_interest % 2``) --
-        the paper's per-community structure makes a community-aligned
-        cut the interesting one: intra-community links mostly survive,
-        inter-community (inter-link) traffic is what the cut severs.
-        Unaffiliated nodes (cluster -1) land on side 1.
-        """
-        sides = self._partition_sides
-        assert sides is not None
-        side = sides.get(node_id)
-        if side is None:
-            side = primary_interest(self.dataset, node_id) % 2
-            sides[node_id] = side
-        return side
-
-    def _partition_reach(self, a: int, b: int) -> bool:
-        return self._partition_side_of(a) == self._partition_side_of(b)
-
-    def _partition_begin(self) -> None:
-        """Sever cross-community links; cut transfers fail over.
-
-        The reachability guard makes every protocol skip (not drop)
-        unreachable neighbors and referrals; the server stays reachable
-        from both sides, so lookups degrade to server fallbacks rather
-        than failures.  In-flight transfers crossing the cut are
-        interrupted into the standard failover ladder.
-        """
-        self._partition_sides = {}
-        self.protocol.partition_guard = self._partition_reach
-        if self.tracer:
-            self.tracer.event("partition.transition", phase="begin")
-        interrupted = 0
-        for consumer in sorted(self._watches):
-            watch = self._watches.get(consumer)
-            if watch is None or watch.provider_id is None:
-                continue
-            if not self._partition_reach(consumer, watch.provider_id):
-                self._interrupt_transfer(consumer, provider_id=watch.provider_id)
-                if consumer in self._failovers:
-                    interrupted += 1
-        self.metrics.record_partition_interrupts(interrupted)
-
-    def _partition_end(self) -> None:
-        """Heal the partition: restore reachability, re-probe overlays.
-
-        Clearing the guard restores every skipped link instantly; the
-        heal sweep then runs one maintenance probe per online node (in
-        node-id order) so link tables refill across the healed cut
-        without waiting for each node's next natural probe.
-        """
-        self.protocol.partition_guard = None
-        self._partition_sides = None
-        if self.tracer:
-            self.tracer.event("partition.transition", phase="end")
-        healed = 0
-        for node_id in self._node_ids:
-            if self.protocol.state(node_id).online:
-                self.protocol.on_maintenance(node_id)
-                healed += 1
-        self.metrics.record_heal(healed)
-        self.metrics.note_recovery_action(self.scheduler.now)
-        if self.tracer:
-            self.tracer.event("partition.healed", nodes=healed)
-
-    def _flash_crowd_begin(self) -> None:
-        self.server.admission_limit = self.fault_plan.flash_crowd_admission_limit
-        if self.tracer:
-            self.tracer.event(
-                "server.flash_crowd",
-                phase="begin",
-                limit=self.server.admission_limit,
-            )
-
-    def _flash_crowd_end(self) -> None:
-        self.server.admission_limit = 0
-        self.metrics.note_recovery_action(self.scheduler.now)
-        if self.tracer:
-            self.tracer.event("server.flash_crowd", phase="end")
 
     # -- run --------------------------------------------------------------------------------
 
@@ -1032,8 +498,8 @@ class ExperimentRunner:
             self.scheduler.schedule(
                 self.churn.initial_join_delay(), self._start_session, node_id
             )
-        self._schedule_infra_faults()
-        self.metrics.fault_onset_t = self._fault_onset_time()
+        # Building the recovery arms the fault windows, after the joins.
+        self.recovery = FaultRecovery(self) if self.faults else None
         self.scheduler.run()
         # Server-side fault counters live on the server; fold them into
         # the collector so the summary (and the regress gate) sees them.

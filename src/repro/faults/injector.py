@@ -9,9 +9,8 @@ sequences -- which is what keeps a zero-plan run byte-identical to a
 build without fault injection, and a fault-injected run byte-identical
 between ``--jobs 1`` and ``--jobs N``.
 
-Mirrors the ``NULL_TRACER`` idiom: :data:`NULL_INJECTOR` is *falsy*, so
-every hook in the runner's hot path costs one truthiness check when
-faults are off.
+A fault-free run builds no injector at all (the runner's ``faults`` is
+None), so every fault hook on its hot path costs one truthiness check.
 """
 
 from __future__ import annotations
@@ -20,19 +19,6 @@ from typing import Optional, Sequence
 
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import RngStreams
-
-
-class NullFaultInjector:
-    """Falsy stand-in wired when the spec carries no (or a zero) plan."""
-
-    plan: Optional[FaultPlan] = None
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Shared no-op injector (the fault-free fast path).
-NULL_INJECTOR = NullFaultInjector()
 
 
 class FaultInjector:
@@ -61,13 +47,10 @@ class FaultInjector:
         self.partition_armed = plan.has_partition()
         self.flash_crowd_armed = plan.has_flash_crowd()
 
-    def __bool__(self) -> bool:
-        return True
-
     def crash_delay(self) -> Optional[float]:
         """Seconds until this session's crash, or None when crash-free.
 
-        Drawn once per session start; the runner cancels the scheduled
+        Drawn once per session start; the recovery cancels the scheduled
         crash if the session ends gracefully first.
         """
         rate = self.plan.crash_rate_per_hour
@@ -107,7 +90,7 @@ class FaultInjector:
 
         The *only* random draw in the community-crash family (one
         ``faults.community`` draw per run); the victim set inside the
-        cluster is chosen deterministically by the runner (highest
+        cluster is chosen deterministically by the recovery (highest
         upload capacity first, node id as the tiebreak).
         """
         if not clusters:

@@ -207,7 +207,7 @@ class MetricsCollector:
         self.server_sheds = 0
         self.shed_retries = 0
         #: Instant the first armed infrastructure fault strikes (set by
-        #: the runner); 0.0 disables recovery-time measurement.
+        #: the fault recovery); 0.0 disables recovery-time measurement.
         self.fault_onset_t = 0.0
         self._last_recovery_t: Optional[float] = None
 

@@ -66,6 +66,16 @@ class LookupResult:
         """True when a peer (not the server, not the local cache) serves."""
         return self.provider_id is not None and not self.from_server and not self.from_cache
 
+    def server_fallback(self) -> "LookupResult":
+        """The same search, ending in a server serve: its chosen peer
+        failed or never replied."""
+        return LookupResult(
+            video_id=self.video_id,
+            from_server=True,
+            hops=self.hops,
+            peers_contacted=self.peers_contacted,
+        )
+
     def describe(self) -> str:
         """Human-readable one-liner, used by example scripts."""
         if self.from_cache:

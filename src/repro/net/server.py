@@ -100,7 +100,7 @@ class CentralServer:
 
         Peer and watch registrations made during the outage are dropped
         (the reports have nowhere to land); recovery is
-        :meth:`tracker_outage_end` followed by the runner's
+        :meth:`tracker_outage_end` followed by the fault recovery's
         re-registration sweep, which asks every online peer to
         re-announce through ``protocol.reannounce``.
         """

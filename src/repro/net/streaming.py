@@ -162,7 +162,7 @@ class ResumeReport:
 
     ``completion_s`` is measured from the *interruption instant*: the
     wall-clock span covering the failover gap, any extra stalls, and the
-    remaining playback.  The experiment runner schedules the watch's new
+    remaining playback.  The fault recovery reschedules the watch's
     finish event ``completion_s - resume_gap_s`` after the resume fires.
     """
 

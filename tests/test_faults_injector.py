@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.faults.injector import NULL_INJECTOR, FaultInjector, NullFaultInjector
+from repro.experiments.config import SimulationConfig
+from repro.experiments.runner import ExperimentRunner
+from repro.experiments.spec import ExperimentSpec
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import RngStreams
 
@@ -13,14 +16,20 @@ def _injector(**kwargs):
     return FaultInjector(FaultPlan(**defaults), RngStreams(11))
 
 
-class TestNullInjector:
-    def test_null_injector_is_falsy(self):
-        assert not NULL_INJECTOR
-        assert not NullFaultInjector()
-        assert NULL_INJECTOR.plan is None
-
-    def test_real_injector_is_truthy(self):
-        assert _injector()
+class TestInjectorConstruction:
+    def test_only_a_nonzero_plan_builds_fault_objects(self):
+        """A zero plan builds neither the injector nor the recovery, so
+        every fault hook is one ``None`` check; a nonzero plan builds
+        both."""
+        base = ExperimentSpec("socialtube", SimulationConfig.smoke_scale(seed=5))
+        zero = ExperimentRunner(base.with_faults(FaultPlan()))
+        zero.run()
+        assert zero.faults is None
+        assert zero.recovery is None
+        armed = ExperimentRunner(base.with_faults(FaultPlan.demo()))
+        armed.run()
+        assert isinstance(armed.faults, FaultInjector)
+        assert armed.recovery is not None
 
     def test_zero_plan_rejected(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,16 @@ FAMILY_PLANS = {
 }
 
 
+def assert_recovery_unwound(runner):
+    """Every recovery ledger is empty at run end: no watch, consumer
+    link, pending crash or pending shed retry left dangling."""
+    recovery = runner.recovery
+    assert not recovery._watches
+    assert not recovery._consumers
+    assert not recovery._crash_events
+    assert not recovery._shed_retries
+
+
 def _chaos_spec(protocol, seed=77):
     return ExperimentSpec(
         protocol=protocol, config=SimulationConfig.smoke_scale(seed=seed)
@@ -57,9 +67,7 @@ class TestChaosRuns:
         )
         assert resolved > 0
         assert metrics.interrupted_transfers >= resolved
-        assert not runner._failovers  # nothing left dangling at run end
-        assert not runner._watches
-        assert not runner._consumers
+        assert_recovery_unwound(runner)
 
     def test_recovery_metrics_are_consistent(self, chaos_run):
         _runner, result = chaos_run
@@ -109,9 +117,7 @@ class TestInfraFamilies:
             assert metrics.shed_retries > 0
         assert metrics.recovery_time_s > 0
         # Graceful degradation, not collapse: no dangling sessions.
-        assert not runner._failovers
-        assert not runner._watches
-        assert not runner._consumers
+        assert_recovery_unwound(runner)
 
     def test_fault_state_fully_unwound_after_run(self, family_run):
         """Every window must leave no residue once it closes."""
@@ -144,9 +150,28 @@ class TestInfraFamilies:
         # Every peer lookup exhausted its budget, so the server carried
         # essentially the whole catalogue.
         assert metrics.server_fallback_fraction > 0.5
-        assert not runner._failovers
-        assert not runner._watches
-        assert not runner._consumers
+        assert_recovery_unwound(runner)
+
+    @pytest.mark.parametrize("seed", [11, 14, 19])
+    def test_crash_during_shed_backoff_cancels_the_retry(self, seed):
+        """A node that crashes while backing off from a flash-crowd shed
+        must not resume that request chain after it rejoins."""
+        plan = FaultPlan(
+            crash_rate_per_hour=30.0,
+            flash_crowd_at_s=100.0,
+            flash_crowd_duration_s=3000.0,
+            flash_crowd_admission_limit=1,
+        )
+        spec = ExperimentSpec(
+            "socialtube", SimulationConfig.smoke_scale(seed=seed)
+        ).with_faults(plan)
+        runner = ExperimentRunner(
+            spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
+        )
+        metrics = runner.run().metrics
+        assert metrics.crashes > 0
+        assert metrics.shed_retries > 0
+        assert_recovery_unwound(runner)
 
 
 class TestDeterminism:
