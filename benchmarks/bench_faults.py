@@ -18,15 +18,8 @@ Times one shortened default-scale run three ways --
   fault-injected run (crashes, failovers, repairs), reported for
   scale, not held to a bar.
 
-It also times one serial pass of the resilience grid (the
-``repro chaos --grid`` scorecard: 3 protocols x 4 infrastructure fault
-families at smoke scale) as ``timings_s.grid_smoke`` -- the headline
-``tools/perf_trend.py`` tracks for this file -- and records the grid's
-worst-continuity cell so a resilience collapse shows up in the PR diff.
-
-Measurements go to ``BENCH_faults.json`` at the repo root (same schema
-family as ``BENCH_timeseries.json``; see ``benchmarks/README.md``).
-The headline is ``hooks_pct_vs_no_faults``: the price a *fault-free*
+Measurements are printed to stdout; no file is written.  The headline
+is the hooks overhead vs no faults: the price a *fault-free*
 experiment pays for the hooks existing.  The acceptance bar is <3%,
 asserted here (exit non-zero past the bar) -- the ``no_faults`` path
 must stay effectively free.
@@ -34,7 +27,6 @@ must stay effectively free.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import harness
@@ -43,7 +35,6 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
-from repro.faults.grid import run_grid
 from repro.faults.plan import FaultPlan
 
 PROTOCOL = "socialtube"
@@ -53,7 +44,6 @@ PROTOCOL = "socialtube"
 # configurations.
 REPEATS = 5
 OVERHEAD_BAR_PCT = 3.0
-OUTPUT = "BENCH_faults.json"
 
 #: Nonzero per ``is_zero`` (so the injector and every runner hook are
 #: live) yet behaviourally inert: factor 1.0 leaves server rates
@@ -101,87 +91,23 @@ def main() -> int:
     if armed_result.render_rows() != plain.render_rows():
         raise AssertionError("armed-inert run drifted from the no-faults run")
 
-    # The resilience grid, timed once (12 smoke cells, serial): the
-    # wall-clock price of the full protocols x families scorecard, the
-    # quantity the trend table tracks for this file.
-    grid_s, grid_cells = harness.best_of(
-        lambda: run_grid(seed=2014, scale="smoke", jobs=1), repeats=1
-    )
-    worst = min(grid_cells, key=lambda cell: cell.continuity)
-
     hooks_pct = 100.0 * (armed_s - plain_s) / plain_s
-    events = plain.events_processed
-    payload = {
-        **harness.envelope(
-            "fault-injection hook overhead (default scale, 2 sessions)",
-            "PYTHONPATH=src python benchmarks/bench_faults.py",
-        ),
-        "run": {
-            "protocol": PROTOCOL,
-            "num_nodes": config.num_nodes,
-            "events_processed": events,
-            "repeats_best_of": REPEATS,
-        },
-        "timings_s": {
-            "no_faults": round(plain_s, 4),
-            "hooks_armed": round(armed_s, 4),
-            "chaos": round(chaos_s, 4),
-            "grid_smoke": round(grid_s, 4),
-        },
-        "throughput_events_per_s": {
-            "no_faults": round(events / plain_s),
-            "hooks_armed": round(events / armed_s),
-            "chaos": round(chaos_result.events_processed / chaos_s),
-        },
-        "hooks_pct_vs_no_faults": round(hooks_pct, 2),
-        "chaos_pct_vs_no_faults": round(100.0 * (chaos_s - plain_s) / plain_s, 2),
-        "chaos_recovery": {
-            "crashes": chaos_result.metrics.crashes,
-            "interrupted_transfers": chaos_result.metrics.interrupted_transfers,
-            "failover_peer_resumes": chaos_result.metrics.failover_peer_resumes,
-            "failover_server_fallbacks": chaos_result.metrics.failover_server_fallbacks,
-        },
-        "grid": {
-            "cells": len(grid_cells),
-            "scale": "smoke",
-            "seed": 2014,
-            "worst_continuity": {
-                "protocol": worst.protocol,
-                "family": worst.family,
-                "continuity": round(worst.continuity, 4),
-            },
-        },
-        "overhead_bar_pct": OVERHEAD_BAR_PCT,
-        "determinism": (
-            "armed-inert run rendered byte-identical metric rows to "
-            "the no-faults run"
-        ),
-        "note": (
-            "hooks_armed runs a nonzero-but-inert FaultPlan (brownout "
-            "factor 1.0, nothing else): the injector is constructed, "
-            "every watch is tracked and every serve consults the "
-            "brownout clock, but no fault ever fires and no RNG is "
-            "drawn.  hooks_pct_vs_no_faults is therefore the full "
-            "bookkeeping cost the fault layer adds to a run that uses "
-            "it without faults; the no_faults row itself is the path "
-            "a fault-free spec takes (no injector, no recovery), whose "
-            "cost is one truthiness check per hook.  chaos is "
-            "FaultPlan.demo() for scale: recovery work (failover "
-            "re-searches, resume "
-            "scheduling, repair sweeps) is real load, not overhead."
-        ),
-    }
-    path = harness.write_bench(OUTPUT, payload)
-
-    print(json.dumps(payload["timings_s"], indent=2))
-    print(f"hooks overhead vs no-faults: {payload['hooks_pct_vs_no_faults']}%")
-    print(f"chaos vs no-faults: {payload['chaos_pct_vs_no_faults']}%")
+    chaos_pct = 100.0 * (chaos_s - plain_s) / plain_s
+    metrics = chaos_result.metrics
     print(
-        f"resilience grid: {len(grid_cells)} cells in {grid_s:.2f}s "
-        f"(worst continuity {worst.continuity:.4f}: "
-        f"{worst.protocol}/{worst.family})"
+        f"{PROTOCOL}, {config.num_nodes} nodes, "
+        f"{plain.events_processed} events, best of {REPEATS}"
     )
-    print(f"wrote {path}")
+    print(f"no_faults:   {plain_s:.4f}s")
+    print(f"hooks_armed: {armed_s:.4f}s")
+    print(f"chaos:       {chaos_s:.4f}s")
+    print(f"hooks overhead vs no-faults: {hooks_pct:.2f}% (bar {OVERHEAD_BAR_PCT}%)")
+    print(
+        f"chaos vs no-faults: {chaos_pct:.2f}% "
+        f"({metrics.crashes} crashes, {metrics.interrupted_transfers} "
+        f"interrupted, {metrics.failover_peer_resumes} peer resumes, "
+        f"{metrics.failover_server_fallbacks} server fallbacks)"
+    )
     if harness.bar(
         hooks_pct >= OVERHEAD_BAR_PCT,
         f"hook overhead {hooks_pct:.2f}% >= {OVERHEAD_BAR_PCT}% bar",

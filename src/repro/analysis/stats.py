@@ -170,22 +170,3 @@ def log_log_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     if den == 0:
         raise ValueError("degenerate x values")
     return num / den
-
-
-def gini_coefficient(values: Sequence[float]) -> float:
-    """Gini coefficient in [0, 1]; 0 = perfectly even, ->1 = concentrated.
-
-    A compact scalar for "popularity varies greatly" claims (O2/O3):
-    heavy-tailed view distributions have Gini well above 0.5.
-    """
-    if not values:
-        raise ValueError("gini of empty sequence")
-    if any(v < 0 for v in values):
-        raise ValueError("gini requires non-negative values")
-    ordered = sorted(values)
-    n = len(ordered)
-    total = sum(ordered)
-    if total == 0:
-        return 0.0
-    weighted = sum((i + 1) * v for i, v in enumerate(ordered))
-    return (2.0 * weighted) / (n * total) - (n + 1.0) / n

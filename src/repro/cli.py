@@ -202,9 +202,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(
         paths=args.paths or None,
         output_format=output_format,
-        baseline_path=args.baseline,
-        use_baseline=not args.no_baseline,
-        update_baseline=args.update_baseline,
     )
 
 
@@ -421,19 +418,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_lint.add_argument(
         "--explain", metavar="RULE",
         help="print the long-form explanation for one rule id and exit",
-    )
-    p_lint.add_argument(
-        "--baseline", default=None,
-        help="explicit baseline file (default: discover tools/lint_baseline.json "
-        "above the lint root)",
-    )
-    p_lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring the checked-in baseline",
-    )
-    p_lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current finding set and exit 0",
     )
     p_lint.set_defaults(func=_cmd_lint)
 

@@ -41,7 +41,7 @@ class FaultInjector:
         self._rng_community = streams.stream("faults.community")
         # Armed flags cached so the clock-window predicates cost one
         # attribute read + compare on the hot path (the <3% armed-inert
-        # bar in BENCH_faults.json covers these).
+        # bar in benchmarks/bench_faults.py covers these).
         self.community_crash_armed = plan.has_community_crash()
         self.tracker_outage_armed = plan.has_tracker_outage()
         self.partition_armed = plan.has_partition()

@@ -2,10 +2,6 @@
 levels, and small AST helpers used by both the single-pass rules
 (:mod:`repro.lint.ast_rules`) and the flow/program passes
 (:mod:`repro.lint.dataflow`).
-
-Severities order findings for the baseline gate: ``high`` findings fail
-CI even when older ``medium``/``low`` findings are still being burned
-down through ``tools/lint_baseline.json``.
 """
 
 from __future__ import annotations
@@ -20,14 +16,6 @@ SEVERITY_LEVELS = ("high", "medium", "low")
 
 #: Default severity when a rule does not declare one.
 DEFAULT_SEVERITY = "medium"
-
-
-def severity_rank(severity: str) -> int:
-    """0 for ``high``, 1 for ``medium``, 2 for ``low`` (unknown sorts last)."""
-    try:
-        return SEVERITY_LEVELS.index(severity)
-    except ValueError:
-        return len(SEVERITY_LEVELS)
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

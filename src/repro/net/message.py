@@ -75,15 +75,3 @@ class LookupResult:
             hops=self.hops,
             peers_contacted=self.peers_contacted,
         )
-
-    def describe(self) -> str:
-        """Human-readable one-liner, used by example scripts."""
-        if self.from_cache:
-            return f"video {self.video_id}: local cache"
-        if self.from_server:
-            return f"video {self.video_id}: server fallback after contacting {self.peers_contacted} peers"
-        level = "inter-link" if self.via_inter_link else "inner-link"
-        return (
-            f"video {self.video_id}: peer {self.provider_id} via {level} "
-            f"({self.hops} hops, {self.peers_contacted} peers contacted)"
-        )

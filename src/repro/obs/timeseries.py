@@ -140,7 +140,7 @@ class TimeSeriesTable:
 
 #: Name -> dispatch code for :meth:`TimeSeriesCollector.observe_row`.
 #: A single dict probe decides whether a row carries a windowed metric
-#: at all -- rows outside this map (``flood.hop``, span ends, counter
+#: at all -- rows outside this map (``prefetch.store``, span ends, counter
 #: footers, ...) exit after two comparisons, which is what holds the
 #: streaming sink under the <5%-of-run overhead bar asserted in
 #: ``tests/test_obs_timeseries.py``.  Codes are ordered by observed row

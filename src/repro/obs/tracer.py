@@ -163,7 +163,7 @@ class Tracer:
 
         tracer = Tracer(clock=lambda: scheduler.now)
         with tracer.span("flood.search", node=1, video=9, level="inner"):
-            tracer.event("flood.hop", depth=1, peer=4)
+            tracer.event("flood.found", depth=1, holder=4)
         tracer.observe("flood.contacted", 7)
         assert tracer.rows()[0]["kind"] == "span_begin"
     """

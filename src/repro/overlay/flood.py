@@ -62,12 +62,11 @@ def ttl_flood(
     ttl:
         Maximum number of forwarding hops (the paper uses TTL=2).
     tracer:
-        Optional :class:`repro.obs.tracer.Tracer`.  When truthy, each
-        BFS hop level becomes a ``flood.hop`` span (BFS visits depths
-        monotonically, so hop spans never interleave), a found holder
-        emits ``flood.found``, and an exhausted flood emits
-        ``flood.ttl_exhausted``.  The default/``NULL_TRACER`` case
-        skips all packing -- the search loop stays allocation-free.
+        Optional :class:`repro.obs.tracer.Tracer`.  When truthy, a
+        found holder emits ``flood.found`` and an exhausted flood emits
+        ``flood.ttl_exhausted``; both carry the depth reached and the
+        peers contacted.  The default/``NULL_TRACER`` case skips all
+        packing -- the search loop stays allocation-free.
 
     Returns the provider at minimal hop distance, the hop count, the
     number of distinct peers that processed the query, and the node
@@ -78,8 +77,6 @@ def ttl_flood(
     visited: Dict[int, Optional[int]] = {requester: None}
     queue: deque = deque()
     contacted = 0
-    hop_span = None
-    hop_depth = 0
     for neighbor in start_neighbors:
         if neighbor in visited:
             continue
@@ -88,10 +85,6 @@ def ttl_flood(
     while queue:
         node, depth = queue.popleft()
         contacted += 1
-        if tracer and depth != hop_depth:
-            tracer.end(hop_span)
-            hop_span = tracer.begin("flood.hop", node=requester, depth=depth)
-            hop_depth = depth
         if is_holder(node):
             path = [node]
             parent = visited[node]
@@ -100,7 +93,6 @@ def ttl_flood(
                 parent = visited[parent]
             path.reverse()
             if tracer:
-                tracer.end(hop_span)
                 tracer.event(
                     "flood.found", node=requester, holder=node,
                     depth=depth, contacted=contacted,
@@ -114,7 +106,6 @@ def ttl_flood(
             visited[neighbor] = node
             queue.append((neighbor, depth + 1))
     if tracer:
-        tracer.end(hop_span)
         tracer.event(
             "flood.ttl_exhausted", node=requester, ttl=ttl, contacted=contacted
         )

@@ -16,9 +16,9 @@ protocol design consume:
   of [35] quoted under Fig 8);
 * upload dates follow the two-year growth curve of Fig 2.
 
-:class:`repro.trace.crawler.BfsCrawler` reproduces the paper's sampling
-methodology (breadth-first over subscription edges) on the synthetic
-graph.
+The paper sampled YouTube by BFS because the whole graph was out of
+reach; the synthetic corpus is held in full, so the analysis reads all
+of it.
 """
 
 from repro.trace.dataset import TraceDataset

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.stats import (
     cdf_at,
     cdf_points,
-    gini_coefficient,
     log_log_slope,
     mean,
     mean_confidence_interval,
@@ -135,20 +134,7 @@ class TestLogLogSlope:
             log_log_slope([1, 1], [2, 3])
 
 
-class TestGini:
-    def test_uniform_is_zero(self):
-        assert gini_coefficient([5, 5, 5, 5]) == pytest.approx(0.0)
-
-    def test_concentrated_is_high(self):
-        assert gini_coefficient([0, 0, 0, 100]) > 0.7
-
-    def test_all_zero(self):
-        assert gini_coefficient([0, 0]) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            gini_coefficient([-1, 2])
-
+class TestMean:
     def test_mean(self):
         assert mean([1, 2, 3]) == 2.0
         with pytest.raises(ValueError):

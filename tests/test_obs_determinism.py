@@ -43,7 +43,7 @@ def test_trace_contains_expected_families(serial_payload):
     names = {row.get("name") for row in rows if "name" in row}
     # flood instrumentation with TTL semantics
     assert "flood.search" in names
-    assert "flood.hop" in names
+    assert "flood.found" in names
     assert "flood.ttl_exhausted" in names
     # transfers must be attributed to a source
     sources = {

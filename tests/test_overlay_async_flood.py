@@ -5,8 +5,8 @@ import random
 
 import pytest
 
+from async_flood import AsyncFloodSearch
 from repro.net.latency import UniformLatencyModel
-from repro.overlay.async_flood import AsyncFloodSearch
 from repro.overlay.flood import ttl_flood
 from repro.sim.engine import EventScheduler
 
