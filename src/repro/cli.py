@@ -73,7 +73,8 @@ def _run_flags_parent() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (1 = serial, the default); results are "
+        help="worker processes for multi-spec runs (1 = serial, the "
+        "default; a single spec always runs in-process); results are "
         "byte-identical for any value",
     )
     return parent
@@ -225,7 +226,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         protocol=args.protocol, config=config, environment=args.environment
     )
-    profiled = run_profiled(spec, jobs=args.jobs)
+    profiled = run_profiled(spec)
     path = os.path.join(args.outdir, trace_filename(spec))
     write_trace(path, profiled.jsonl)
     print(render_profile(profiled.summary))
@@ -266,27 +267,13 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_worker(task) -> "tuple":
-    """Pool worker: one fault-injected spec -> (canonical table bytes, report)."""
-    from repro.experiments.trace_cache import shared_trace_cache
-    from repro.obs.timeseries import run_with_timeseries
-
-    spec, window_s = task
-    run = run_with_timeseries(
-        spec,
-        window_s=window_s,
-        dataset=shared_trace_cache.dataset_for(spec.config.trace),
-    )
-    return run.table.to_canonical_json(), "\n".join(run.result.render_rows())
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import multiprocessing
     import os
 
     from repro.experiments.spec import ExperimentSpec
     from repro.faults.grid import family_plan
     from repro.faults.plan import FaultPlan
+    from repro.obs.timeseries import run_with_timeseries
 
     seed = _single_seed(args, "chaos")
     if args.grid:
@@ -325,12 +312,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         protocol=args.protocol, config=config, environment=args.environment
     ).with_faults(plan)
-    task = (spec, args.window)
-    if args.jobs > 1:
-        with multiprocessing.Pool(processes=min(args.jobs, 2)) as pool:
-            payload, report = pool.map(_chaos_worker, [task], chunksize=1)[0]
-    else:
-        payload, report = _chaos_worker(task)
+    run = run_with_timeseries(spec, window_s=args.window)
+    payload = run.table.to_canonical_json()
     path = args.out or os.path.join(
         args.outdir, f"chaos_{spec.protocol}_{spec.content_hash()[:16]}.json"
     )
@@ -339,7 +322,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         os.makedirs(parent, exist_ok=True)
     with open(path, "wb") as handle:
         handle.write(payload)
-    print(report)
+    print("\n".join(run.result.render_rows()))
     print(f"timeseries: {path} ({len(payload)} bytes)")
     return 0
 

@@ -1,9 +1,11 @@
-"""Process-pool fan-out of multi-seed experiment sweeps.
+"""Process-pool fan-out of multi-spec runs, and multi-seed aggregation.
 
 Every figure of Section V is a mean over repeated randomized trials,
-yet single-run execution is bottlenecked on one core.  This module
-fans a list of :class:`ExperimentSpec` across worker processes and
-folds the per-run metrics into means with 95% confidence intervals --
+yet single-run execution is bottlenecked on one core.  This module is
+the one place that runs specs in worker processes: :func:`map_specs`
+applies a per-spec function (a plain run, a traced run, a time-series
+capture) across a pool, and :func:`run_sweep` is its plain-run form.
+The per-run metrics fold into means with 95% confidence intervals --
 the CliqueStream-style statistically honest reporting the evaluation
 methodology calls for.
 
@@ -16,13 +18,14 @@ Determinism contract (tested by ``tests/test_experiments_parallel.py``):
   once and share their result;
 * results return in spec order regardless of completion order.
 
-Together these make ``run_sweep(specs, jobs=N)`` byte-identical to
-``run_sweep(specs, jobs=1)`` for any N.
+Together these make ``map_specs(fn, specs, jobs=N)`` byte-identical to
+``map_specs(fn, specs, jobs=1)`` for any N and any ``fn`` whose result
+is a pure function of its spec.
 
 Trace sharing: the parent synthesizes each distinct trace recipe once
 (through :data:`shared_trace_cache`), pickles it once, and ships the
-snapshot to every worker via the pool initializer; workers deserialize
-lazily, at most once per recipe per process, and never re-synthesize.
+snapshot to every worker via the pool initializer; each worker adopts
+it into its own :data:`shared_trace_cache` and never re-synthesizes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,16 @@ import dataclasses
 import multiprocessing
 import pickle
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.analysis.stats import mean, mean_confidence_interval
 from repro.experiments.config import SimulationConfig
@@ -40,6 +52,9 @@ from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec, content_digest
 from repro.experiments.trace_cache import shared_trace_cache
 from repro.metrics.collectors import ExperimentMetrics
+from repro.trace.synthesizer import TraceConfig
+
+T = TypeVar("T")
 
 # ---------------------------------------------------------------------------
 # spec construction helpers
@@ -82,46 +97,36 @@ def family_key(spec: ExperimentSpec) -> str:
 
 # ---------------------------------------------------------------------------
 # worker plumbing
-#
-# Module-level state set by the pool initializer; underscore names keep
-# them out of the public surface.  Workers deserialize each trace
-# snapshot at most once and then reuse it for every spec they execute.
-
-_WORKER_TRACE_BLOBS: Dict[str, bytes] = {}
-_WORKER_DATASETS: Dict[str, object] = {}
 
 
-def _init_worker(trace_blobs: Dict[str, bytes]) -> None:
-    _WORKER_TRACE_BLOBS.clear()
-    _WORKER_TRACE_BLOBS.update(trace_blobs)
-    _WORKER_DATASETS.clear()
+def _init_worker(snapshots: List[Tuple[TraceConfig, bytes]]) -> None:
+    """Pool initializer: adopt each shipped corpus into the worker's cache.
 
-
-def _run_in_worker(spec: ExperimentSpec) -> ExperimentResult:
-    key = spec.trace_hash()
-    dataset = _WORKER_DATASETS.get(key)
-    if dataset is None:
-        blob = _WORKER_TRACE_BLOBS.get(key)
-        if blob is not None:
-            dataset = pickle.loads(blob)
-            _WORKER_DATASETS[key] = dataset
-    return run_spec(spec, dataset=dataset)
+    Every run path reads its corpus from :data:`shared_trace_cache`, so
+    once the snapshots are in place no worker re-synthesizes.
+    """
+    for trace_config, blob in snapshots:
+        shared_trace_cache.put(trace_config, pickle.loads(blob))
 
 
 # ---------------------------------------------------------------------------
 # the orchestrator
 
 
-def run_sweep(
-    specs: Iterable[ExperimentSpec], jobs: int = 1
-) -> List[ExperimentResult]:
-    """Execute specs, one result per spec, in spec order.
+def map_specs(
+    fn: Callable[[ExperimentSpec], T],
+    specs: Iterable[ExperimentSpec],
+    jobs: int = 1,
+) -> List[T]:
+    """Apply ``fn`` to every spec; one result per spec, in spec order.
 
-    ``jobs=1`` (the default) runs serially in-process -- no pool, no
-    pickling -- so existing single-run paths are unchanged.  ``jobs>1``
-    fans the distinct specs across a process pool.  Either way,
-    duplicate specs execute once and identical seed lists produce
-    byte-identical aggregates (see the module docstring).
+    ``jobs=1`` (the default), or a single distinct spec, runs serially
+    in-process -- no pool, no pickling.  ``jobs>1`` fans the distinct
+    specs across a process pool whose workers receive each distinct
+    trace corpus once, through the pool initializer.  Either way,
+    duplicate specs run once and share their result.  ``fn`` must be
+    picklable: a module-level callable or a ``functools.partial`` of
+    one.
     """
     spec_list = list(specs)
     if not spec_list:
@@ -129,31 +134,42 @@ def run_sweep(
     order = [spec.content_hash() for spec in spec_list]
     unique: Dict[str, ExperimentSpec] = {}
     for key, spec in zip(order, spec_list):
-        if key not in unique:
-            unique[key] = spec
+        unique.setdefault(key, spec)
     unique_specs = list(unique.values())
 
     if jobs <= 1 or len(unique_specs) == 1:
-        outcomes = [
-            run_spec(
-                spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
-            )
-            for spec in unique_specs
-        ]
+        outcomes = [fn(spec) for spec in unique_specs]
     else:
-        blobs: Dict[str, bytes] = {}
+        snapshots: Dict[str, Tuple[TraceConfig, bytes]] = {}
         for spec in unique_specs:
             trace_key = spec.trace_hash()
-            if trace_key not in blobs:
-                blobs[trace_key] = shared_trace_cache.serialized(spec.config.trace)
+            if trace_key not in snapshots:
+                snapshots[trace_key] = (
+                    spec.config.trace,
+                    shared_trace_cache.serialized(spec.config.trace),
+                )
         workers = min(jobs, len(unique_specs))
         with multiprocessing.Pool(
-            processes=workers, initializer=_init_worker, initargs=(blobs,)
+            processes=workers,
+            initializer=_init_worker,
+            initargs=(list(snapshots.values()),),
         ) as pool:
-            outcomes = pool.map(_run_in_worker, unique_specs, chunksize=1)
+            outcomes = pool.map(fn, unique_specs, chunksize=1)
 
     results_by_key = dict(zip(unique.keys(), outcomes))
     return [results_by_key[key] for key in order]
+
+
+def run_sweep(
+    specs: Iterable[ExperimentSpec], jobs: int = 1
+) -> List[ExperimentResult]:
+    """Execute specs, one :class:`ExperimentResult` per spec, in spec order.
+
+    :func:`map_specs` over :func:`run_spec`; identical seed lists
+    produce byte-identical aggregates for any ``jobs`` (see the module
+    docstring).
+    """
+    return map_specs(run_spec, specs, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,14 @@ behaviour change that motivated it.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.config import SimulationConfig
+from repro.experiments.parallel import map_specs
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.trace_cache import shared_trace_cache
 from repro.faults.plan import FaultPlan
 from repro.obs.timeseries import DEFAULT_WINDOW_S, run_with_timeseries
 
@@ -172,25 +172,14 @@ def spec_for_baseline(payload: Dict[str, Any]) -> ExperimentSpec:
     return spec
 
 
-def _capture(
-    spec: ExperimentSpec,
-    scale: str,
-    window_s: float,
-    variant: Optional[str] = None,
-) -> Dict[str, Any]:
+def _capture(spec: ExperimentSpec, window_s: float) -> Dict[str, Any]:
     """Run one spec and snapshot its baseline payload.
 
-    ``variant`` distinguishes multiple chaos baselines of the same
-    protocol/environment (e.g. the ``infra`` grid scenarios from the
-    classic crash-churn demo); it feeds the filename via
-    :func:`baseline_path` and rides in the payload so ``regress
-    --update`` rewrites the right file.
+    The payload still lacks the ``scale`` and ``variant`` labels, which
+    :func:`_labelled` adds: neither changes the run, so one capture can
+    serve every baseline file that shares its spec and window.
     """
-    run = run_with_timeseries(
-        spec,
-        window_s=window_s,
-        dataset=shared_trace_cache.dataset_for(spec.config.trace),
-    )
+    run = run_with_timeseries(spec, window_s=window_s)
     metrics = run.result.metrics
     values: Dict[str, float] = {
         "startup_delay_ms_mean": metrics.startup_delay_ms_mean,
@@ -224,7 +213,6 @@ def _capture(
         "protocol": spec.protocol,
         "environment": spec.environment,
         "seed": spec.seed,
-        "scale": scale,
         "window_s": window_s,
         "content_hash": spec.content_hash(),
         "series_digest": run.table.digest(),
@@ -233,6 +221,21 @@ def _capture(
     }
     if spec.has_faults():
         payload["faults"] = spec.faults.to_dict()
+    return payload
+
+
+def _labelled(
+    capture: Dict[str, Any], scale: str, variant: Optional[str]
+) -> Dict[str, Any]:
+    """A capture stamped with its baseline's ``scale`` and ``variant``.
+
+    ``variant`` distinguishes multiple chaos baselines of the same
+    protocol/environment (e.g. the ``infra`` grid scenarios from the
+    classic crash-churn demo); it feeds the filename via
+    :func:`baseline_path` and rides in the payload so ``regress
+    --update`` rewrites the right file.
+    """
+    payload = dict(capture, scale=scale)
     if variant:
         payload["variant"] = variant
     return payload
@@ -266,21 +269,7 @@ def capture_baseline(
     )
     if faults is not None:
         spec = spec.with_faults(faults)
-    return _capture(spec, scale, window_s, variant=variant)
-
-
-def _capture_worker(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool worker: one baseline identity -> one fresh capture payload."""
-    faults = task.get("faults")
-    return capture_baseline(
-        protocol=task["protocol"],
-        scale=task.get("scale", "smoke"),
-        seed=task["seed"],
-        environment=task.get("environment", "peersim"),
-        window_s=task.get("window_s", DEFAULT_WINDOW_S),
-        faults=FaultPlan.from_dict(faults) if faults else None,
-        variant=task.get("variant"),
-    )
+    return _labelled(_capture(spec, window_s), scale, variant)
 
 
 def baseline_path(baseline_dir: str, payload: Dict[str, Any]) -> str:
@@ -382,23 +371,23 @@ def run_regression(
             )
             for name in (protocols or DEFAULT_PROTOCOLS)
         ]
-    tasks = [
-        {
-            "protocol": payload["protocol"],
-            "environment": payload.get("environment", "peersim"),
-            "seed": payload["seed"],
-            "scale": payload.get("scale", "smoke"),
-            "window_s": payload.get("window_s", DEFAULT_WINDOW_S),
-            "faults": payload.get("faults"),
-            "variant": payload.get("variant"),
-        }
-        for _path, payload in entries
-    ]
-    if jobs > 1:
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            captures = pool.map(_capture_worker, tasks, chunksize=1)
-    else:
-        captures = [_capture_worker(task) for task in tasks]
+    # One fan-out per distinct window (a run's tick period); scale and
+    # variant are labels stamped on afterwards.
+    specs = [spec_for_baseline(payload) for _path, payload in entries]
+    by_window: Dict[float, List[int]] = {}
+    for index, (_path, payload) in enumerate(entries):
+        window_s = payload.get("window_s", DEFAULT_WINDOW_S)
+        by_window.setdefault(window_s, []).append(index)
+    captures: List[Dict[str, Any]] = [{} for _ in entries]
+    for window_s, indices in by_window.items():
+        runs = map_specs(
+            partial(_capture, window_s=window_s), [specs[i] for i in indices], jobs
+        )
+        for index, capture in zip(indices, runs):
+            payload = entries[index][1]
+            captures[index] = _labelled(
+                capture, payload.get("scale", "smoke"), payload.get("variant")
+            )
 
     if update:
         for (_old_path, _payload), fresh in zip(entries, captures):

@@ -6,8 +6,9 @@ seed, environment), the span/event rows in emission order, and footer
 rows summarising counters and histograms.  Serialization is canonical
 -- sorted keys, compact separators, ``repr``-stable floats -- so the
 bytes of a trace are a pure function of its spec: running the same
-spec twice, or through the process-pool path, produces byte-identical
-files (tested by ``tests/test_obs_determinism.py``).
+spec twice, in-process or on a :func:`repro.experiments.parallel.map_specs`
+worker, produces byte-identical files (tested by
+``tests/test_obs_determinism.py``).
 
 The profile summary folds a trace into the table behind
 ``python -m repro profile``: simulated time per span name
@@ -26,14 +27,12 @@ Example::
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.trace_cache import shared_trace_cache
 from repro.obs.tracer import TRACE_SCHEMA_VERSION, Tracer
 
 
@@ -236,14 +235,12 @@ class ProfiledRun:
     """One traced experiment: its result, trace bytes, and summary."""
 
     spec: ExperimentSpec
-    result: Optional[ExperimentResult]
+    result: ExperimentResult
     jsonl: bytes
     summary: ProfileSummary
 
 
-def run_traced(
-    spec: ExperimentSpec, dataset: Optional[object] = None
-) -> Tuple[ExperimentResult, Tracer]:
+def run_traced(spec: ExperimentSpec) -> Tuple[ExperimentResult, Tracer]:
     """Execute one spec with a live tracer attached; returns both.
 
     The tracer is created here (one per run -- tracers are not shared
@@ -256,52 +253,29 @@ def run_traced(
         rows = tracer.rows()
     """
     tracer = Tracer()
-    result = run_spec(spec, dataset=dataset, tracer=tracer)
+    result = run_spec(spec, tracer=tracer)
     return result, tracer
 
 
-def _profile_worker(spec: ExperimentSpec) -> bytes:
-    """Pool worker: trace one spec and return the canonical JSONL bytes."""
-    _result, tracer = run_traced(
-        spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
-    )
-    return trace_to_jsonl_bytes(
-        trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
-    )
-
-
-def run_profiled(spec: ExperimentSpec, jobs: int = 1) -> ProfiledRun:
+def run_profiled(spec: ExperimentSpec) -> ProfiledRun:
     """Trace one spec and fold the trace into a profile summary.
 
-    ``jobs=1`` runs in-process; ``jobs>1`` routes the run through a
-    process pool (the same execution shape as
-    :func:`repro.experiments.parallel.run_sweep`), which must -- and
-    does -- produce byte-identical trace artifacts, because a trace is
-    a pure function of its spec.
+    A trace is a pure function of its spec, so mapping this over specs
+    with :func:`repro.experiments.parallel.map_specs` produces the same
+    artifacts for any ``jobs``.
 
     Example::
 
-        profiled = run_profiled(spec, jobs=2)
+        profiled = run_profiled(spec)
         print(render_profile(profiled.summary))
     """
-    if jobs <= 1:
-        result, tracer = run_traced(
-            spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
-        )
-        payload = trace_to_jsonl_bytes(
-            trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
-        )
-        return ProfiledRun(
-            spec=spec,
-            result=result,
-            jsonl=payload,
-            summary=ProfileSummary.from_rows(parse_jsonl_bytes(payload)),
-        )
-    with multiprocessing.Pool(processes=min(jobs, 2)) as pool:
-        payload = pool.map(_profile_worker, [spec], chunksize=1)[0]
+    result, tracer = run_traced(spec)
+    payload = trace_to_jsonl_bytes(
+        trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
+    )
     return ProfiledRun(
         spec=spec,
-        result=None,
+        result=result,
         jsonl=payload,
         summary=ProfileSummary.from_rows(parse_jsonl_bytes(payload)),
     )

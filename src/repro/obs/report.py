@@ -12,8 +12,10 @@ Rendering discipline:
 
 * **Deterministic bytes.** The HTML is a pure function of the
   :class:`DashboardRun` payloads, which are pure functions of their
-  specs -- no wall-clock timestamps, no environment probes -- so
-  ``--jobs 1`` and ``--jobs 2`` builds are byte-identical (tested by
+  specs -- no wall-clock timestamps, no environment probes.  A
+  comparison's runs fan out through
+  :func:`repro.experiments.parallel.map_specs`, so ``--jobs 1`` and
+  ``--jobs 2`` builds are byte-identical (tested by
   ``tests/test_obs_report.py`` and diffed in CI).
 * **Color carries identity, text carries values.**  Protocols own
   fixed palette slots (color follows the entity, never its position in
@@ -28,13 +30,13 @@ Rendering discipline:
 from __future__ import annotations
 
 import html
-import multiprocessing
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.experiments.parallel import map_specs
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.trace_cache import shared_trace_cache
 from repro.obs.timeseries import (
     DEFAULT_WINDOW_S,
     TimeSeriesTable,
@@ -133,11 +135,7 @@ def _scalars_of(result) -> Dict[str, float]:
 
 def dashboard_run(spec: ExperimentSpec, window_s: float = DEFAULT_WINDOW_S) -> DashboardRun:
     """Execute one spec and fold it into a :class:`DashboardRun`."""
-    run = run_with_timeseries(
-        spec,
-        window_s=window_s,
-        dataset=shared_trace_cache.dataset_for(spec.config.trace),
-    )
+    run = run_with_timeseries(spec, window_s=window_s)
     return DashboardRun(
         protocol=spec.protocol,
         environment=spec.environment,
@@ -148,12 +146,6 @@ def dashboard_run(spec: ExperimentSpec, window_s: float = DEFAULT_WINDOW_S) -> D
     )
 
 
-def _dashboard_worker(task: Tuple[ExperimentSpec, float]) -> DashboardRun:
-    """Pool worker: one spec -> one picklable :class:`DashboardRun`."""
-    spec, window_s = task
-    return dashboard_run(spec, window_s=window_s)
-
-
 def collect_dashboard_runs(
     specs: Sequence[ExperimentSpec],
     window_s: float = DEFAULT_WINDOW_S,
@@ -161,16 +153,12 @@ def collect_dashboard_runs(
 ) -> List[DashboardRun]:
     """Collect dashboard payloads for several specs, serially or pooled.
 
-    ``jobs>1`` uses the same process-pool shape as
-    :func:`repro.experiments.parallel.run_sweep`; each payload is a
+    ``jobs>1`` fans the specs out through
+    :func:`repro.experiments.parallel.map_specs`; each payload is a
     pure function of its spec, so the worker layout cannot change the
     rendered dashboard (CI diffs the HTML across ``--jobs 1/2``).
     """
-    tasks = [(spec, window_s) for spec in specs]
-    if jobs <= 1:
-        return [_dashboard_worker(task) for task in tasks]
-    with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(_dashboard_worker, tasks, chunksize=1)
+    return map_specs(partial(dashboard_run, window_s=window_s), specs, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.trace_cache import shared_trace_cache
 from repro.obs.export import parse_jsonl_bytes, trace_header, trace_to_jsonl_bytes
 from repro.obs.tracer import Tracer
 
@@ -454,9 +453,7 @@ class TimeseriesRun:
 
 
 def run_with_timeseries(
-    spec: ExperimentSpec,
-    window_s: float = DEFAULT_WINDOW_S,
-    dataset: Optional[object] = None,
+    spec: ExperimentSpec, window_s: float = DEFAULT_WINDOW_S
 ) -> TimeseriesRun:
     """Execute one spec with live windowed collection attached.
 
@@ -476,11 +473,7 @@ def run_with_timeseries(
         window_s=window_s, include_faults=spec.has_faults()
     )
     tracer.set_sink(collector.observe_row)
-    result = run_spec(
-        spec,
-        dataset=dataset or shared_trace_cache.dataset_for(spec.config.trace),
-        tracer=tracer,
-    )
+    result = run_spec(spec, tracer=tracer)
     jsonl = trace_to_jsonl_bytes(
         trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
     )

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.experiments.config import SimulationConfig
+from repro.lint.runner import default_lint_root, lint_paths
 from repro.net.server import CentralServer
 from repro.trace.synthesizer import TraceConfig, TraceSynthesizer
 
@@ -35,6 +36,12 @@ def tiny_dataset():
 def default_dataset():
     """The default-config dataset used by the analysis tests (read-only)."""
     return TraceSynthesizer(TraceConfig(seed=1234)).synthesize()
+
+
+@pytest.fixture(scope="session")
+def source_tree_lint_report():
+    """The one full-tree lint analysis of ``src/repro`` (read-only)."""
+    return lint_paths([default_lint_root()])
 
 
 @pytest.fixture()

@@ -16,6 +16,7 @@ from repro.experiments.parallel import (
     aggregate_runs,
     aggregate_sweep,
     family_key,
+    map_specs,
     run_sweep,
     sweep_specs,
 )
@@ -98,6 +99,33 @@ class TestRunSweepDeterminism:
 
     def test_empty_sweep(self):
         assert run_sweep([], jobs=4) == []
+
+
+def _spec_label(spec):
+    """A stand-in per-spec function that runs no simulation.
+
+    Each call returns a fresh list, so result identity shows how many
+    times it ran.
+    """
+    return [spec.protocol, spec.seed, spec.content_hash()]
+
+
+class TestMapSpecs:
+    def test_pooled_matches_serial_in_spec_order(self):
+        specs = sweep_specs(["socialtube", "pavod"], MICRO, seeds=[1, 2])
+        serial = map_specs(_spec_label, specs, jobs=1)
+        pooled = map_specs(_spec_label, specs, jobs=2)
+        assert pooled == serial
+        assert [(protocol, seed) for protocol, seed, _ in pooled] == [
+            ("socialtube", 1), ("socialtube", 2), ("pavod", 1), ("pavod", 2),
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicate_spec_calls_fn_once(self, jobs):
+        first, second = sweep_specs(["socialtube"], MICRO, seeds=[1, 2])
+        results = map_specs(_spec_label, [first, second, first], jobs=jobs)
+        assert results[0] is results[2]
+        assert results[0] is not results[1]
 
 
 class TestAggregation:

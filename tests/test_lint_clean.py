@@ -5,28 +5,21 @@ lands in ``src/repro`` from now on fails the suite with the offending
 file:line:rule rows in the assertion message.  It runs the same
 analysis as the CI lint job, so both agree on what "clean" means:
 every finding of every severity fails unless a per-line
-``# lint: disable=<rule>`` comment accepts it.
+``# lint: disable=<rule>`` comment accepts it.  The report is the
+session's one full-tree analysis (``tests/conftest.py``).
 """
 
-import pytest
 
-from repro.lint.runner import default_lint_root, lint_paths
-
-
-@pytest.fixture(scope="module")
-def report():
-    return lint_paths([default_lint_root()])
-
-
-def test_source_tree_is_lint_clean(report):
+def test_source_tree_is_lint_clean(source_tree_lint_report):
+    report = source_tree_lint_report
     # Sanity: the walk really covered the package, not an empty dir.
     assert report.files_checked > 40
     details = "\n".join(finding.render() for finding in report.findings)
     assert report.ok, f"lint findings in the source tree:\n{details}"
 
 
-def test_program_pass_ran_over_the_tree(report):
-    stats = report.program_stats
+def test_program_pass_ran_over_the_tree(source_tree_lint_report):
+    stats = source_tree_lint_report.program_stats
     assert stats is not None
     assert stats["modules"] > 40
     assert stats["call_edges"] > 100

@@ -3,6 +3,7 @@ interpreters, carries a fixed key set, and ``--explain`` covers every
 rule id."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 from repro.lint.ast_rules import RULE_DESCRIPTIONS
 from repro.lint.explain import explained_rule_ids
-from repro.lint.runner import lint_paths, render_json
+from repro.lint.runner import default_lint_root, lint_paths, render_json
 from repro.cli import main
 
 DIRTY = "import random\nrandom.seed(0)\nx = random.random()\n"
@@ -30,23 +31,27 @@ class TestGoldenJsonDeterminism:
         blob_b = render_json(lint_paths([str(proj)]))
         assert blob_a == blob_b
 
-    def test_full_tree_json_byte_identical_across_processes(self):
-        # The real gate: two fresh interpreters (fresh hash seeds) must
-        # emit the identical report for the shipped tree.
-        cmd = [sys.executable, "-m", "repro", "lint", "--json"]
-        runs = [
-            subprocess.run(
-                cmd,
-                capture_output=True,
-                text=True,
-                env={"PYTHONPATH": "src", "PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
-                check=False,
-            )
-            for seed in ("1", "2")
-        ]
-        assert runs[0].returncode == 0, runs[0].stdout + runs[0].stderr
-        assert runs[0].stdout == runs[1].stdout
-        payload = json.loads(runs[0].stdout)
+    def test_full_tree_json_byte_identical_across_processes(
+        self, source_tree_lint_report
+    ):
+        # The real gate: a fresh interpreter under a different hash
+        # seed must emit the identical report for the shipped tree.
+        own_seed = os.environ.get("PYTHONHASHSEED", "random")
+        other_seed = "2" if own_seed == "1" else "1"
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "--json"],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONPATH": os.path.dirname(default_lint_root()),
+                "PYTHONHASHSEED": other_seed,
+                "PATH": "/usr/bin:/bin",
+            },
+            check=False,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert run.stdout == render_json(source_tree_lint_report) + "\n"
+        payload = json.loads(run.stdout)
         assert payload["schema"] == 3
         assert payload["ok"] is True
 

@@ -7,7 +7,14 @@ import pytest
 
 from repro.cli import main
 from repro.lint.ast_rules import RULE_DESCRIPTIONS
-from repro.lint.runner import lint_paths, lint_source, render_json, render_text
+from repro.lint import runner
+from repro.lint.runner import (
+    default_lint_root,
+    lint_paths,
+    lint_source,
+    render_json,
+    render_text,
+)
 from repro.lint.suppressions import SuppressionIndex
 
 
@@ -366,9 +373,20 @@ class TestRunnerAndCli:
         for rule_id in RULE_DESCRIPTIONS:
             assert rule_id in out
 
-    def test_cli_default_target_is_source_tree(self, capsys):
+    def test_cli_default_target_is_source_tree(
+        self, capsys, monkeypatch, source_tree_lint_report
+    ):
         # No paths -> lints the installed package, which must be clean.
+        # The session's full-tree report stands in for a second analysis.
+        linted = []
+
+        def shared_analysis(paths):
+            linted.append(paths)
+            return source_tree_lint_report
+
+        monkeypatch.setattr(runner, "lint_paths", shared_analysis)
         assert main(["lint"]) == 0
+        assert linted == [[default_lint_root()]]
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_bad_format_rejected(self):

@@ -2,13 +2,14 @@
 
 The heart of the observability contract (DESIGN.md §8): same spec +
 seed ⇒ byte-identical JSONL, whether the run executes in-process or
-through the process-pool path.  These tests use the smoke-scale config
+on a ``map_specs`` pool worker.  These tests use the smoke-scale config
 so they stay in tier-1 budget.
 """
 
 import pytest
 
 from repro.experiments.config import SimulationConfig
+from repro.experiments.parallel import map_specs
 from repro.experiments.spec import ExperimentSpec
 from repro.obs.export import parse_jsonl_bytes, run_profiled
 
@@ -22,19 +23,23 @@ def spec():
 
 @pytest.fixture(scope="module")
 def serial_payload(spec):
-    return run_profiled(spec, jobs=1).jsonl
+    return run_profiled(spec).jsonl
 
 
 def test_repeat_runs_are_byte_identical(spec, serial_payload):
-    assert run_profiled(spec, jobs=1).jsonl == serial_payload
+    assert run_profiled(spec).jsonl == serial_payload
 
 
 def test_pool_path_matches_serial(spec, serial_payload):
-    assert run_profiled(spec, jobs=4).jsonl == serial_payload
+    specs = [spec, spec.with_seed(spec.seed + 1)]
+    pooled = [r.jsonl for r in map_specs(run_profiled, specs, jobs=2)]
+    serial = [r.jsonl for r in map_specs(run_profiled, specs, jobs=1)]
+    assert pooled == serial
+    assert pooled[0] == serial_payload
 
 
 def test_different_seed_different_trace(spec, serial_payload):
-    other = run_profiled(spec.with_seed(spec.seed + 1), jobs=1).jsonl
+    other = run_profiled(spec.with_seed(spec.seed + 1)).jsonl
     assert other != serial_payload
 
 

@@ -2,8 +2,7 @@
 
 The tentpole claims (DESIGN.md discipline, ISSUE 4):
 
-* the live sink and the JSONL replay produce byte-identical tables,
-  whether the exported trace came from a serial or a pooled run;
+* the live sink and the JSONL replay produce byte-identical tables;
 * window assignment is pure ``t // window_s`` arithmetic -- boundary
   rows open the next window, silent gaps flush empty windows, gauges
   carry forward across flushes;
@@ -19,7 +18,6 @@ import pytest
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
-from repro.obs.export import run_profiled
 from repro.obs.timeseries import (
     DEFAULT_WINDOW_S,
     TimeSeriesCollector,
@@ -49,16 +47,6 @@ def test_replay_matches_live_bytes(live_run):
     replayed = series_from_trace(live_run.jsonl, window_s=DEFAULT_WINDOW_S)
     assert replayed.to_canonical_json() == live_run.table.to_canonical_json()
     assert replayed.digest() == live_run.table.digest()
-
-
-def test_pooled_and_serial_traces_replay_identically(spec):
-    """Traces exported through the jobs=1 and jobs=2 profile paths
-    replay to byte-identical tables -- worker layout is invisible.
-    (These runs carry no ``engine.tick`` gauge rows, so they are
-    compared to each other, not to the tick-enabled live run.)"""
-    serial = series_from_trace(run_profiled(spec, jobs=1).jsonl)
-    pooled = series_from_trace(run_profiled(spec, jobs=2).jsonl)
-    assert pooled.to_canonical_json() == serial.to_canonical_json()
 
 
 def test_repeat_live_runs_are_identical(spec, live_run):
